@@ -530,25 +530,6 @@ pub trait Sketcher {
         }
         Ok(())
     }
-
-    /// The canonical fallible entry point — an explicit alias for
-    /// [`Self::sketch`], named for call sites that want the totality
-    /// contract visible: *every* input produces either a finite sketch or a
-    /// typed [`SketchError`]; no panic, no hang, no non-finite output.
-    ///
-    /// # Errors
-    /// Exactly those of [`Self::sketch`].
-    fn try_sketch(&self, set: &WeightedSet) -> Result<Sketch, SketchError> {
-        self.sketch(set)
-    }
-
-    /// Fallible alias for [`Self::sketch_batch`] (see [`Self::try_sketch`]).
-    ///
-    /// # Errors
-    /// Exactly those of [`Self::sketch_batch`].
-    fn try_sketch_batch(&self, sets: &[WeightedSet]) -> Result<Vec<Sketch>, SketchError> {
-        self.sketch_batch(sets)
-    }
 }
 
 /// Boxed sketchers delegate, so a runtime-selected algorithm (the

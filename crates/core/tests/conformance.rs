@@ -275,36 +275,6 @@ fn biased_mutants_of_the_modern_samplers_fail_too() {
     }
 }
 
-/// The fast-math profile's dedicated conformance run: ICWS and 0-bit CWS
-/// over the polynomial ln/exp must estimate the same references within the
-/// same bounds as the exact profile. The ~1e-9 relative math error flips an
-/// argmin only when two hash values are within that sliver of each other,
-/// which is orders of magnitude below the CLT noise here — so the Exact
-/// allowances apply unchanged. Runs in every build (the profile is always
-/// compiled; the cargo feature only gates the catalog knob).
-#[test]
-fn fast_math_profile_conforms_like_exact() {
-    use wmh_core::cws::{Icws, MathProfile, ZeroBitCws};
-    let (s, t) = sets();
-    let reps = reps();
-    let truth = generalized_jaccard(&s, &t);
-    let mut failures = Vec::new();
-    let icws_build = |seed: u64| -> Box<dyn Sketcher + Send + Sync> {
-        Box::new(Icws::with_math_profile(seed, D, MathProfile::FastPoly))
-    };
-    if let Err(msg) = conformance("ICWS[fast-math]", &icws_build, truth, 0.0, reps) {
-        failures.push(msg);
-    }
-    let zb_build = |seed: u64| -> Box<dyn Sketcher + Send + Sync> {
-        Box::new(ZeroBitCws::with_math_profile(seed, D, MathProfile::FastPoly))
-    };
-    let zb_allowance = allowance(Algorithm::ZeroBitCws);
-    if let Err(msg) = conformance("0-bit-CWS[fast-math]", &zb_build, truth, zb_allowance, reps) {
-        failures.push(msg);
-    }
-    assert!(failures.is_empty(), "fast-math conformance failures:\n{}", failures.join("\n"));
-}
-
 /// The catalog must contain exactly the paper's thirteen plus the two
 /// beyond-the-paper samplers; a silently unregistered sketcher would
 /// otherwise shrink every `ALL`-driven suite without failing anything.

@@ -5,13 +5,13 @@
 //! survives. These tests drive every failpoint in the save path and check
 //! that promise, then tear the destination with a short write (the
 //! lying-fsync model) and verify the salvage + [`RecoveryReport`] path
-//! recovers the prefix — including through the v1 back-compat decoder.
+//! recovers the prefix.
 
 use std::path::PathBuf;
 
 use wmh_core::cws::Icws;
 use wmh_core::sketch::Sketcher as _;
-use wmh_core::store::{RecoveryReport, SketchStore, StoreError};
+use wmh_core::store::{SketchStore, StoreError};
 use wmh_sets::WeightedSet;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -40,7 +40,10 @@ fn injected_failures_keep_saves_atomic() {
     let dir = scratch("atomic");
     let path = dir.join("corpus.wmhs");
     let old = filled_store(2);
-    old.save_to_path(&path).expect("clean save");
+    {
+        let _inert = wmh_fault::inert();
+        old.save_to_path(&path).expect("clean save");
+    }
     let new = filled_store(5);
 
     for point in ["store::write", "store::fsync", "store::rename"] {
@@ -107,38 +110,11 @@ fn short_write_is_salvageable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The same torn-tail treatment for the v1 (checksum-free) format: the
-/// decoder must stay total and salvage must still recover whole records.
-#[test]
-fn v1_decoder_stays_total_on_torn_input() {
-    let store = filled_store(6);
-    let bytes = store.encode_v1();
-    for cut in 0..bytes.len() {
-        let torn = &bytes[..cut];
-        // Total: typed error or a valid store, never a panic.
-        let _ = SketchStore::decode(torn);
-        // Salvage of any prefix long enough to hold the header recovers
-        // only whole records, each identical to the original.
-        if let Ok((partial, report)) = SketchStore::salvage(torn) {
-            assert!(report.recovered <= 6);
-            for &id in partial.ids() {
-                assert_eq!(partial.get(id).expect("rec"), store.get(id).expect("orig"));
-            }
-        }
-    }
-    // A fault-free encode salvages completely.
-    let (full, report) = SketchStore::salvage(&bytes).expect("clean v1");
-    assert_eq!(full, store);
-    assert_eq!(
-        report,
-        RecoveryReport { recovered: 6, expected: 6, bytes_discarded: 0, first_error: None }
-    );
-}
-
 /// With no scenario active, failpoints are invisible: saves succeed and
 /// no counters move.
 #[test]
 fn inert_points_do_not_perturb_saves() {
+    let _inert = wmh_fault::inert();
     let dir = scratch("inert");
     let path = dir.join("corpus.wmhs");
     let store = filled_store(3);

@@ -65,8 +65,9 @@
 //! ```
 //!
 //! [`scenario`] serializes scenario-holding tests through a global lock so
-//! parallel test threads never observe each other's faults; binaries call
-//! [`init_from_env`] once at startup instead.
+//! parallel test threads never observe each other's faults; a test that
+//! passes failpoints without injecting any holds [`inert`] for the same
+//! reason. Binaries call [`init_from_env`] once at startup instead.
 
 mod registry;
 mod scenario;
@@ -74,7 +75,7 @@ pub mod supervisor;
 
 pub use registry::{fired, hits, Fault};
 pub use scenario::{
-    clear, configure, init_from_env, scenario, Activation, ScenarioError, ScenarioGuard,
+    clear, configure, inert, init_from_env, scenario, Activation, ScenarioError, ScenarioGuard,
 };
 
 /// Hit the named failpoint; `tag` scopes the hit for `@tag` filters.

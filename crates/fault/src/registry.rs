@@ -293,6 +293,13 @@ mod tests {
     }
 
     #[test]
+    fn inert_guard_holds_the_lock_with_nothing_installed() {
+        let _g = scenario::inert();
+        assert!(crate::hit("reg::inert", None).is_ok());
+        assert_eq!(hits("reg::inert"), 0, "no scenario is active under the guard");
+    }
+
+    #[test]
     fn counters_reset_between_scenarios() {
         {
             let _g = scenario::scenario("reg::reset=never", 1).expect("scenario");

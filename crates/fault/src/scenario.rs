@@ -223,6 +223,16 @@ pub fn scenario(spec: &str, seed: u64) -> Result<ScenarioGuard, ScenarioError> {
     Ok(ScenarioGuard { _lock: lock })
 }
 
+/// Hold the scenario lock with no scenario installed, for the lifetime of
+/// the returned guard. A test that passes failpoints without injecting
+/// faults takes this, so a parallel scenario-holding test in the same
+/// process neither fires faults into it nor counts its hits.
+pub fn inert() -> ScenarioGuard {
+    let lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    clear();
+    ScenarioGuard { _lock: lock }
+}
+
 /// The scenario / seed pair as read from the environment.
 fn activate(faults: Option<&str>, seed_text: Option<&str>) -> Result<Activation, ScenarioError> {
     let Some(faults) = faults.map(str::trim).filter(|f| !f.is_empty()) else {

@@ -400,6 +400,7 @@ mod tests {
 
     #[test]
     fn single_thread_pool_runs_everything_on_the_caller() {
+        let _inert = wmh_fault::inert();
         let pool = ThreadPool::new(1);
         let caller = std::thread::current().id();
         let ran_on = Mutex::new(Vec::new());
@@ -417,6 +418,7 @@ mod tests {
 
     #[test]
     fn scope_tasks_can_borrow_mutably() {
+        let _inert = wmh_fault::inert();
         let pool = ThreadPool::new(3);
         let mut values = vec![0u64; 100];
         pool.scope(|scope| {
@@ -429,6 +431,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_complete_before_the_outer_scope_returns() {
+        let _inert = wmh_fault::inert();
         let pool = ThreadPool::new(4);
         let count = AtomicUsize::new(0);
         pool.scope(|scope| {
@@ -453,6 +456,7 @@ mod tests {
 
     #[test]
     fn panic_in_task_propagates_after_drain() {
+        let _inert = wmh_fault::inert();
         let pool = ThreadPool::new(2);
         let completed = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -502,6 +506,7 @@ mod tests {
 
     #[test]
     fn repeated_panicking_scopes_leave_the_pool_usable() {
+        let _inert = wmh_fault::inert();
         let pool = ThreadPool::new(4);
         for _ in 0..4 {
             let result = catch_unwind(AssertUnwindSafe(|| {

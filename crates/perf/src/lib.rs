@@ -15,8 +15,7 @@
 //!   whose median slows by more than the tolerance (default +25%) fails
 //!   the gate, as does a workload that disappears from the suite.
 //! * [`schemas`] — structural schemas for every `results/*.json` family,
-//!   consumed by the `schema_check` binary and the `wmh-bench`
-//!   cross-check.
+//!   consumed by the `schema_check` binary.
 //!
 //! Binaries: `wmh-perf` (run / compare) and `schema_check`.
 //!

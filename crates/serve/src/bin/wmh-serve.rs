@@ -31,7 +31,7 @@
 //!   report the perf gate checks.
 //! * `check-report` — validate a report file's schema and arithmetic
 //!   invariants (outcome counts must sum to requests issued).
-//! * `wal-info` — offline inspection of a WAL directory (or legacy file):
+//! * `wal-info` — offline inspection of a WAL directory:
 //!   per-segment generations, record counts, torn bytes, and snapshot
 //!   inventory. Exits 2 — distinctly from usage errors — when any sealed
 //!   segment or snapshot is damaged, so scripts can gate on it.
@@ -563,11 +563,7 @@ fn wal_info(dir: &str) -> Result<ExitCode, String> {
             segment.generation, segment.records, segment.bytes
         );
     }
-    let snapshots = if path.is_dir() {
-        snapshot::list(path).map_err(|e| format!("listing snapshots in {dir}: {e}"))?
-    } else {
-        Vec::new()
-    };
+    let snapshots = snapshot::list(path).map_err(|e| format!("listing snapshots in {dir}: {e}"))?;
     let provenance = info.provenance.clone();
     for (gen, snap_path) in &snapshots {
         match snapshot::verify_file(snap_path, &provenance) {

@@ -479,6 +479,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_exact_and_newest_valid_wins() {
+        let _inert = wmh_fault::inert();
         let d = dir("roundtrip");
         let p = provenance();
         write(&d, &p, &sample(1)).expect("write gen 1");
@@ -496,6 +497,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_falls_back_one_generation() {
+        let _inert = wmh_fault::inert();
         let d = dir("fallback");
         let p = provenance();
         write(&d, &p, &sample(2)).expect("write gen 2");
@@ -515,6 +517,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_is_rejected_by_the_footer() {
+        let _inert = wmh_fault::inert();
         let d = dir("torn");
         let p = provenance();
         let path = write(&d, &p, &sample(1)).expect("write");
@@ -531,6 +534,7 @@ mod tests {
 
     #[test]
     fn provenance_mismatch_is_a_hard_error_not_a_skip() {
+        let _inert = wmh_fault::inert();
         let d = dir("prov");
         write(&d, &provenance(), &sample(1)).expect("write");
         let other = WalProvenance { algorithm: "ICWS".into(), seed: 10, num_hashes: 8 };
@@ -572,6 +576,7 @@ mod tests {
 
     #[test]
     fn retain_latest_keeps_the_newest_two() {
+        let _inert = wmh_fault::inert();
         let d = dir("retain");
         let p = provenance();
         for gen in 1..=5 {

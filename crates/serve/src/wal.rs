@@ -9,9 +9,7 @@
 //!
 //! ## On-disk layout
 //!
-//! A WAL is a *directory* of generation-stamped segment files (a legacy
-//! single-file WAL from before segmentation is migrated in place, crash-
-//! safely, on first open):
+//! A WAL is a *directory* of generation-stamped segment files:
 //!
 //! ```text
 //! <dir>/wal-<generation:016x>.seg      one segment per generation
@@ -28,10 +26,9 @@
 //! The first frame is always a *provenance* record binding the log to one
 //! `(algorithm, seed, D)` — a WAL replayed against the wrong store would
 //! silently poison every index, so the binding is checked on every open.
-//! The second frame of a post-segmentation segment stamps its generation
-//! (cross-checked against the filename; absent only in migrated legacy
-//! segments, which are generation 0 by construction). Subsequent frames
-//! are mutations, `kind`-tagged in their first byte:
+//! The second frame stamps the segment's generation (cross-checked against
+//! the filename). Subsequent frames are mutations, `kind`-tagged in their
+//! first byte:
 //!
 //! ```text
 //! kind 0  provenance  [seed u64] [D u32] [name_len u32] [name bytes]
@@ -99,7 +96,8 @@ pub const MAX_WAL_RECORD: u32 = 16 << 20;
 pub enum WalError {
     /// Filesystem failure (or an injected fault standing in for one).
     Io(String),
-    /// The file exists but does not start with [`WAL_MAGIC`].
+    /// The path is a regular file rather than a WAL directory, or a
+    /// segment does not start with [`WAL_MAGIC`].
     BadMagic,
     /// The log's provenance frame names a different `(algorithm, seed, D)`
     /// than the store the service is opening over.
@@ -316,15 +314,14 @@ impl Wal {
     /// (the generation of the snapshot recovery starts from; 0 replays
     /// everything present).
     ///
-    /// A legacy single-file WAL at `path` is migrated into a directory
-    /// first (crash-safely: the staging directory is re-adopted if a
-    /// previous migration was interrupted). Existing segments are verified
-    /// (magic + provenance + stamped generation), live ones replayed into
-    /// the returned `Vec` in log order, and any torn tail of the last
-    /// segment rewound; a fresh directory gets a generation-0 segment
-    /// written and fsynced.
+    /// Existing segments are verified (magic + provenance + stamped
+    /// generation), live ones replayed into the returned `Vec` in log
+    /// order, and any torn tail of the last segment rewound; a fresh
+    /// directory gets a generation-0 segment written and fsynced.
     ///
     /// # Errors
+    /// [`WalError::BadMagic`] for a regular file at `path`, which is left
+    /// untouched (a WAL is a directory), and
     /// [`WalError::BadMagic`] / [`WalError::ProvenanceMismatch`] /
     /// [`WalError::Corrupt`] for a foreign or damaged log (including a
     /// sealed segment with a bad frame, and a directory whose oldest
@@ -656,33 +653,30 @@ impl WalInfo {
     }
 }
 
-/// Offline, read-only inspection of a WAL directory (or a legacy
-/// single-file WAL, reported as one generation-0 segment): provenance,
+/// Offline, read-only inspection of a WAL directory: provenance,
 /// per-segment record counts, torn-tail bytes, and typed corruption.
-/// Nothing is migrated, rewound, or repaired. Provenance is taken from the
+/// Nothing is rewound or repaired. Provenance is taken from the
 /// oldest readable segment; later segments are checked against it.
 ///
 /// # Errors
-/// [`WalError::Io`] when the path cannot be read, [`WalError::BadMagic`] /
-/// [`WalError::Corrupt`] when no segment yields a readable provenance.
+/// [`WalError::Io`] when the path cannot be read, [`WalError::BadMagic`]
+/// for a regular file (a WAL is a directory) or when no segment has the
+/// magic, [`WalError::Corrupt`] when no segment yields a readable
+/// provenance.
 pub fn inspect(path: &Path) -> Result<WalInfo, WalError> {
-    let sources: Vec<(u64, PathBuf)> = if path.is_file() {
-        vec![(0, path.to_owned())]
-    } else {
-        scan_segments(path)?
-            .into_iter()
-            .map(|gen| (gen, path.join(segment_file_name(gen))))
-            .collect()
-    };
-    if sources.is_empty() {
+    if path.is_file() {
+        return Err(WalError::BadMagic);
+    }
+    let gens = scan_segments(path)?;
+    if gens.is_empty() {
         return Err(WalError::Corrupt("no segments found".into()));
     }
     let mut provenance: Option<WalProvenance> = None;
-    let mut segments = Vec::with_capacity(sources.len());
-    for (gen, segpath) in &sources {
-        let bytes = std::fs::read(segpath)?;
+    let mut segments = Vec::with_capacity(gens.len());
+    for &gen in &gens {
+        let bytes = std::fs::read(path.join(segment_file_name(gen)))?;
         let mut report =
-            SegmentReport { generation: *gen, records: 0, bytes: 0, torn_bytes: 0, error: None };
+            SegmentReport { generation: gen, records: 0, bytes: 0, torn_bytes: 0, error: None };
         let parsed = (|| -> Result<(WalProvenance, usize), WalError> {
             if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
                 return Err(WalError::BadMagic);
@@ -695,7 +689,7 @@ pub fn inspect(path: &Path) -> Result<WalInfo, WalError> {
             if let Some(f) = next_frame(&bytes, at) {
                 if f.payload.first() == Some(&4) {
                     let stamped = decode_generation(f.payload)?;
-                    if stamped != *gen {
+                    if stamped != gen {
                         return Err(WalError::Corrupt(format!(
                             "segment file says generation {gen} but its frame says {stamped}"
                         )));
@@ -777,17 +771,11 @@ fn scan_segments(dir: &Path) -> Result<Vec<u64>, WalError> {
     Ok(gens)
 }
 
-/// Make `path` a usable WAL directory: adopt or finish a legacy-file
-/// migration, create the directory, and sweep stale temp files.
+/// Make `path` a usable WAL directory: create it and sweep stale temp
+/// files. A regular file at `path` is refused before anything is touched.
 fn prepare_dir(path: &Path) -> Result<(), WalError> {
-    let staging = staging_path(path);
     if path.is_file() {
-        migrate_legacy_file(path, &staging)?;
-    } else if !path.exists() && staging.is_dir() {
-        // A previous migration removed the original file but crashed
-        // before the final rename; finish it.
-        std::fs::rename(&staging, path)?;
-        sync_parent(path);
+        return Err(WalError::BadMagic);
     }
     std::fs::create_dir_all(path)?;
     for entry in std::fs::read_dir(path)? {
@@ -796,43 +784,6 @@ fn prepare_dir(path: &Path) -> Result<(), WalError> {
             let _ = std::fs::remove_file(entry.path());
         }
     }
-    Ok(())
-}
-
-fn staging_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".migrating");
-    PathBuf::from(name)
-}
-
-/// Migrate a pre-segmentation single-file WAL at `path` into a directory
-/// of the same name holding it as the generation-0 segment, byte-for-byte
-/// (so its replay is identical; it simply has no generation frame).
-/// Two-phase and idempotent: stage → remove original → rename staging into
-/// place, with fsyncs, so a crash at any point either leaves the original
-/// untouched or leaves a staging directory [`prepare_dir`] finishes.
-fn migrate_legacy_file(path: &Path, staging: &Path) -> Result<(), WalError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.is_empty() {
-        // An empty legacy file never held anything acknowledged.
-        std::fs::remove_file(path)?;
-        return Ok(());
-    }
-    if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
-    let _ = std::fs::remove_dir_all(staging);
-    std::fs::create_dir_all(staging)?;
-    let seg = staging.join(segment_file_name(0));
-    let mut f = File::create(&seg)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    drop(f);
-    sync_dir(staging)?;
-    std::fs::remove_file(path)?;
-    sync_parent(path);
-    std::fs::rename(staging, path)?;
-    sync_parent(path);
     Ok(())
 }
 
@@ -890,11 +841,11 @@ fn parse_segment_header(
         }));
     }
     at = head.end;
-    // The generation frame is optional (absent in migrated legacy
-    // segments, which are generation 0); when present it must agree with
-    // the filename. A torn generation frame reads as a torn tail after
-    // the provenance — harmless, the filename still carries the
-    // generation.
+    // When present, the generation frame must agree with the filename. A
+    // crash during `create_segment` can tear it; that reads as a torn tail
+    // after the provenance — harmless, the filename still carries the
+    // generation — and the rewound segment then continues with mutation
+    // frames straight after the provenance.
     if let Some(f) = next_frame(bytes, at) {
         if f.payload.first() == Some(&4) {
             let stamped = decode_generation(f.payload).map_err(HeaderIssue::Fatal)?;
@@ -923,14 +874,6 @@ fn decode_generation(payload: &[u8]) -> Result<u64, WalError> {
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), WalError> {
     File::open(dir)?.sync_all()?;
     Ok(())
-}
-
-fn sync_parent(path: &Path) {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
 }
 
 /// Frame a payload: `[len][payload][crc32c(payload)]`.
@@ -1306,13 +1249,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_wal_migrates_in_place() {
-        let d = dir("legacy");
+    fn single_file_log_is_refused_untouched() {
+        let d = dir("single-file");
         let path = d.join("serve.wal");
-        // Build a directory WAL, then flatten its generation-0 segment
-        // back into a single file at `path` — byte-identical to what the
-        // pre-segmentation code wrote (minus the generation frame, which
-        // legacy files never had; replay tolerates its absence).
+        // A valid-magic log written as one file: build a directory WAL and
+        // flatten its segment into a regular file at the WAL path.
         let (mut wal, _, _) = Wal::open(&path, &provenance(), 0).expect("create");
         for m in sample() {
             wal.append(&m).expect("append");
@@ -1320,18 +1261,16 @@ mod tests {
         let gen = wal.active_generation();
         drop(wal);
         let bytes = std::fs::read(active_path(&path, gen)).expect("read");
+        assert_eq!(&bytes[..WAL_MAGIC.len()], WAL_MAGIC);
         std::fs::remove_dir_all(&path).expect("flatten");
-        std::fs::write(&path, &bytes).expect("legacy file");
-        assert!(path.is_file());
+        std::fs::write(&path, &bytes).expect("single file");
 
-        let (wal, replayed, _) = Wal::open(&path, &provenance(), 0).expect("migrate");
-        assert_eq!(replayed, sample(), "migration preserves every record");
-        assert!(path.is_dir(), "file became a directory");
-        assert_eq!(wal.active_generation(), 0);
-        drop(wal);
-        // Idempotent: a second open replays identically.
-        let (_, replayed, _) = Wal::open(&path, &provenance(), 0).expect("reopen");
-        assert_eq!(replayed, sample());
+        assert_eq!(Wal::open(&path, &provenance(), 0).unwrap_err(), WalError::BadMagic);
+        assert_eq!(inspect(&path).unwrap_err(), WalError::BadMagic);
+        assert!(path.is_file(), "still a regular file");
+        assert_eq!(std::fs::read(&path).expect("reread"), bytes, "bytes unchanged");
+        let siblings: Vec<_> = std::fs::read_dir(&d).expect("list").collect();
+        assert_eq!(siblings.len(), 1, "nothing created beside the file");
         let _ = std::fs::remove_dir_all(&d);
     }
 
