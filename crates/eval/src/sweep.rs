@@ -2,28 +2,28 @@
 //!
 //! [`ParallelSweep`] decomposes an MSE sweep into independent
 //! `(dataset, algorithm, repeat)` **cells** and schedules them on a
-//! [`wmh_par::ThreadPool`] work-stealing pool. Three properties carry over
-//! from the sequential engine unchanged:
+//! [`wmh_par::ThreadPool`] work-stealing pool. Three properties hold at
+//! every thread count:
 //!
 //! * **Determinism** — every random quantity in a cell derives from
 //!   `scale.seed` and the cell's own coordinates, never from the schedule.
 //!   `--threads 1` and `--threads N` therefore produce byte-identical
 //!   result JSON (the determinism integration test pins this down).
 //! * **Checkpoint semantics** — all finished cells funnel through a single
-//!   *committer* thread that owns the [`Checkpoint`] writer, so the
-//!   fsync-per-append ordering and the resume rules of the sequential
-//!   engine are preserved; workers never touch the file. A rejection-budget
-//!   timeout in any repeat marks the whole `(dataset, algorithm)` group
-//!   timed out, exactly as the sequential early-exit did (the budget is
-//!   seed-deterministic, so *which* groups time out is schedule-independent).
+//!   *committer* thread that owns the [`Checkpoint`] writer, so every
+//!   append is fsynced before the next one starts and a resume sees a
+//!   prefix of committed entries; workers never touch the file. A
+//!   rejection-budget timeout in any repeat marks the whole
+//!   `(dataset, algorithm)` group timed out, and no later repeat of that
+//!   group is recorded (the budget is seed-deterministic, so *which*
+//!   groups time out is schedule-independent).
 //! * **Fault tolerance** — a resumed run loads completed repeats before
 //!   scheduling and only executes the missing cells.
 //!
 //! Wall-clock deadlines remain per-`(dataset, algorithm)` group and start
-//! on the group's first scheduled cell; like the sequential engine, runs
-//! that hit a wall-clock deadline are not reproducible (time is not a
-//! seed), which is why the determinism guarantee is stated for rejection
-//! budgets only.
+//! on the group's first scheduled cell. Runs that hit a wall-clock
+//! deadline are not reproducible (time is not a seed), which is why the
+//! determinism guarantee is stated for rejection budgets only.
 
 use crate::checkpoint::{Checkpoint, Entry};
 use crate::runner::{
@@ -117,9 +117,9 @@ impl ParallelSweep {
         self.pool.threads()
     }
 
-    /// Run the Figure 8 protocol cell-parallel. Semantics (results,
-    /// checkpoint resume, budgets) match the sequential engine; see the
-    /// module docs for the determinism argument.
+    /// Run the Figure 8 protocol cell-parallel. Results, checkpoint resume
+    /// and budgets are independent of the thread count; see the module
+    /// docs for the determinism argument.
     ///
     /// # Errors
     /// [`RunnerError`] on invalid scales, dataset errors, or unusable
@@ -448,7 +448,7 @@ fn append_with_retry(
 }
 
 /// The single committer: owns the checkpoint writer, serializes every
-/// append (fsync ordering unchanged from the sequential engine), retries
+/// append (each fsynced before the next begins), retries
 /// transient append failures with the supervisor's backoff, and
 /// accumulates cell outcomes into the `(group, rep)` table.
 fn commit_loop(
@@ -479,8 +479,8 @@ fn commit_loop(
         let salt = (1u64 << 63) | ((done.group as u64) << 32) | done.rep as u64;
         match done.payload {
             Payload::Rep(per_d) => {
-                // Repeats that land after the group timed out are moot;
-                // the sequential engine would not have run them at all.
+                // Repeats that land after the group timed out are moot:
+                // a timed-out group records no further repeats.
                 if !state.timed_out {
                     if let Some(c) = &mut ckpt {
                         let entry = Entry::MseRep {

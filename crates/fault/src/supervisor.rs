@@ -17,7 +17,7 @@
 //! * **Deadline** outcomes ([`Attempt::TimedOut`]) are terminal on the
 //!   first occurrence. A cell that exceeded its wall-clock budget will
 //!   exceed it again; retrying would burn the remaining budget of every
-//!   other cell. The sequential engine's timeout semantics stay intact.
+//!   other cell. A timed-out attempt is therefore never retried.
 //! * **Persistent** transient faults — still failing after the whole
 //!   retry budget — put the cell in **quarantine**: the sweep records the
 //!   failure (checkpointed as a `mse_quarantined` entry, rendered as the

@@ -5,7 +5,7 @@
 //! ```text
 //! wmh-perf run [--profile quick|full] [--out PATH]
 //! wmh-perf compare BASELINE CURRENT [--tolerance 0.25]
-//! wmh-perf gate [--profile quick|full] [--baseline PATH] [--out PATH]
+//! wmh-perf gate --baseline PATH [--profile quick|full] [--out PATH]
 //!               [--tolerance 0.25] [--retries 2]
 //! ```
 //!
@@ -25,7 +25,7 @@ use wmh_perf::{compare, Comparison, Report};
 const USAGE: &str = "usage:
   wmh-perf run [--profile quick|full] [--out PATH]
   wmh-perf compare BASELINE CURRENT [--tolerance FRACTION]
-  wmh-perf gate [--profile quick|full] [--baseline PATH] [--out PATH] [--tolerance FRACTION] [--retries N]";
+  wmh-perf gate --baseline PATH [--profile quick|full] [--out PATH] [--tolerance FRACTION] [--retries N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -183,7 +183,8 @@ fn cmp(args: &[String]) -> Result<ExitCode, String> {
 fn gate(args: &[String]) -> Result<ExitCode, String> {
     let profile = parse_profile(args)?;
     let tolerance = parse_tolerance(args)?;
-    let baseline_path = flag_value(args, "--baseline")?.unwrap_or("results/BENCH_baseline.json");
+    let baseline_path = flag_value(args, "--baseline")?
+        .ok_or_else(|| format!("gate needs --baseline PATH\n{USAGE}"))?;
     let retries: u32 = match flag_value(args, "--retries")? {
         None => 2,
         Some(r) => r.parse().map_err(|_| format!("bad retry count \"{r}\""))?,

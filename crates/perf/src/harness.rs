@@ -44,7 +44,7 @@ impl BenchOptions {
     }
 
     /// The trajectory profile: longer samples and a larger N for the
-    /// checked-in `BENCH_fig9_hot.json` history points.
+    /// checked-in `trajectory/BENCH_fig9_hot_*.json` history points.
     #[must_use]
     pub fn full() -> Self {
         Self { warmup_ns: 100_000_000, min_sample_ns: 5_000_000, samples: 50, max_iters: 1_000_000 }

@@ -227,7 +227,7 @@ pub fn schema_for(file_name: &str) -> Option<Schema> {
     if file_name == "BENCH_serve_recovery.json" {
         return Some(serve_recovery());
     }
-    if file_name == "BENCH_baseline.json" || file_name.starts_with("BENCH_fig9") {
+    if file_name.starts_with("BENCH_fig9") {
         return Some(perf_report());
     }
     if file_name.starts_with("fig8_") {
@@ -332,11 +332,17 @@ mod tests {
         //    inverted the pre-vectorization ordering (see
         //    results/trajectory/ and DESIGN.md "Vectorized kernels").
         //
-        // Read from the report so a baseline refresh that loses the
-        // head-to-head block (or either advantage) fails here, not in a
-        // human's eyeball diff.
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_fig9_hot.json");
-        let text = std::fs::read_to_string(&path).expect("BENCH_fig9_hot.json is checked in");
+        // Read from the newest trajectory point (the perf gate's baseline)
+        // so a refresh that loses the head-to-head block (or either
+        // advantage) fails here, not in a human's eyeball diff.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/trajectory");
+        let newest = std::fs::read_dir(&dir)
+            .expect("results/trajectory/ is checked in")
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with("BENCH_fig9_hot_") && name.ends_with(".json"))
+            .max()
+            .expect("at least one trajectory point");
+        let text = std::fs::read_to_string(dir.join(&newest)).expect("readable trajectory point");
         let report: crate::report::Report =
             crate::report::Report::parse(&text).expect("valid perf report");
         let median = |algo: &str| -> f64 {

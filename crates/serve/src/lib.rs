@@ -32,10 +32,11 @@
 //!   `delete` / `stream` ops: every mutation commits to the CRC-32C-framed
 //!   [`wal`] *before* touching any index, so a SIGKILL at any point replays
 //!   byte-identical to the acknowledged state. Streaming updates drive
-//!   per-id HistoSketch gradual forgetting; id-skew triggers a background
-//!   re-shard that serves degraded-but-correct behind quarantine and
-//!   converges byte-identical to a from-scratch partition; a write path
-//!   that cannot log degrades to a typed `read_only`, never a lie.
+//!   per-id HistoSketch gradual forgetting; an explicit re-shard keeps
+//!   queries fully answered by the old fleet and converges byte-identical
+//!   to a from-scratch partition; a write path that cannot log degrades to
+//!   a typed `read_only`, never a lie, and the health probe's one `writes`
+//!   field says why.
 //! * **Durability lifecycle.** The log is a directory of
 //!   generation-numbered segments. [`Service::snapshot`](service::Service::snapshot)
 //!   atomically freezes the mutation mirror ([`snapshot`]), rotates the
@@ -84,7 +85,7 @@ pub use gate::{WriteAdmission, WriteGate};
 pub use loadgen::{LoadConfig, LoadReport, LOAD_SCHEMA_VERSION};
 pub use protocol::{
     HealthResponse, MutationKind, MutationRequest, MutationResponse, Outcome, QueryRequest,
-    QueryResponse, Request, Response,
+    QueryResponse, Request, Response, Writes,
 };
 pub use scrub::{spawn_scrubber, ScrubReport, Scrubber};
 pub use server::{Server, ServerError};

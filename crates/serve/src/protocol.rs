@@ -18,16 +18,16 @@
 //! Mutations (`insert` / `delete` / `stream`) share the taxonomy, with two
 //! differences: they never return `partial` (a mutation touches exactly
 //! one shard), and they can return `read_only` — the service is not
-//! accepting writes (opened without a WAL, degraded after a WAL failure,
-//! or mid-re-shard; `retry_after_us` hints when to retry for the
-//! transient cases). Precedence for writes: `overloaded` (rejected at
-//! admission, nothing attempted) → `read_only` → `bad_request` →
-//! `deadline_exceeded` → `ok`. A write's `durable`/`applied` flags refine
+//! accepting writes. The health probe's [`Writes`] state says why: opened
+//! without a WAL, mid-re-shard, or a write gate tripped by a WAL failure
+//! (`retry_after_us` hints when to retry for the two transient cases).
+//! Precedence for writes: `overloaded` (rejected at admission, nothing
+//! attempted) → `read_only` → `bad_request` → `deadline_exceeded` → `ok`. A write's `durable`/`applied` flags refine
 //! the verdict: `deadline_exceeded` with `durable: true` means the
 //! mutation **is** committed to the log and will be applied — only the
 //! confirmation ran out of time.
 //!
-//! The outcome spellings are wire contract, pinned by
+//! The outcome and write-state spellings are wire contract, pinned by
 //! `outcome_spellings_are_stable` exactly like `wmh_core::ErrorKind`'s
 //! stability test — renaming a variant must not break deployed clients.
 
@@ -126,10 +126,66 @@ impl ToJson for Outcome {
 
 impl FromJson for Outcome {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let s =
-            v.as_str().ok_or(JsonError::WrongType { expected: "string", got: v.type_name() })?;
-        Self::parse(s).ok_or_else(|| JsonError::Invalid(format!("unknown outcome {s:?}")))
+        parse_spelling(v, "outcome", Self::parse)
     }
+}
+
+/// Whether the service accepts writes and, if not, why. When several
+/// closed reasons hold, the first one declared wins; every closed state
+/// answers writes with `read_only`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Writes {
+    /// Writes are admitted.
+    Open,
+    /// The service was opened without a write-ahead log.
+    NoWal,
+    /// An explicit re-shard is rebuilding the fleet; writes resume when it
+    /// completes.
+    Resharding,
+    /// A WAL failure tripped the write gate: writes are rejected fast,
+    /// except the periodic probe append that re-opens the gate once the
+    /// disk fault clears.
+    HalfOpen,
+}
+
+impl Writes {
+    /// Every state, in precedence order (for exhaustive wire tests).
+    pub const ALL: [Self; 4] = [Self::Open, Self::NoWal, Self::Resharding, Self::HalfOpen];
+
+    /// Wire spelling.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Open => "open",
+            Self::NoWal => "no_wal",
+            Self::Resharding => "resharding",
+            Self::HalfOpen => "half_open",
+        }
+    }
+
+    /// Parse the wire spelling.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|state| state.as_str() == s)
+    }
+}
+
+impl ToJson for Writes {
+    fn to_json(&self) -> Json {
+        Json::Str(self.as_str().to_owned())
+    }
+}
+
+impl FromJson for Writes {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        parse_spelling(v, "write state", Self::parse)
+    }
+}
+
+/// Decode a string-spelled enum, naming `what` on an unknown spelling.
+fn parse_spelling<T>(v: &Json, what: &str, parse: fn(&str) -> Option<T>) -> Result<T, JsonError> {
+    let s = v.as_str().ok_or(JsonError::WrongType { expected: "string", got: v.type_name() })?;
+    parse(s).ok_or_else(|| JsonError::Invalid(format!("unknown {what} {s:?}")))
 }
 
 /// A similarity response.
@@ -238,9 +294,6 @@ pub struct MutationResponse {
     pub shard: Option<usize>,
     /// Live points across all shards after this mutation.
     pub indexed: usize,
-    /// The id distribution has skewed past the configured threshold; a
-    /// background re-shard is advised.
-    pub reshard_hint: bool,
     /// For `overloaded`/`read_only`: the seeded backoff hint, else 0.
     pub retry_after_us: u64,
     /// Human-readable detail for degraded outcomes.
@@ -254,7 +307,6 @@ wmh_json::json_object!(MutationResponse {
     applied,
     shard,
     indexed,
-    reshard_hint,
     retry_after_us,
     error,
 });
@@ -271,7 +323,6 @@ impl MutationResponse {
             applied: false,
             shard: None,
             indexed,
-            reshard_hint: false,
             retry_after_us: 0,
             error,
         }
@@ -291,15 +342,9 @@ pub struct HealthResponse {
     pub shards_quarantined: usize,
     /// Requests currently between admission and response.
     pub inflight: usize,
-    /// Whether writes are currently rejected with `read_only`.
-    pub read_only: bool,
-    /// Whether the write gate is tripped and probing (half-open): writes
-    /// are rejected fast, except the periodic probe that re-admits them
-    /// once the disk fault clears. `read_only` is always true while
-    /// `half_open` is.
-    pub half_open: bool,
-    /// Whether a background re-shard is in progress.
-    pub resharding: bool,
+    /// Whether writes are accepted; any state but `open` answers writes
+    /// with `read_only`.
+    pub writes: Writes,
     /// Mutation records across the live WAL segments (replayed at open
     /// plus appended since; 0 for read-only services).
     pub wal_records: u64,
@@ -322,9 +367,7 @@ wmh_json::json_object!(HealthResponse {
     shards_total,
     shards_quarantined,
     inflight,
-    read_only,
-    half_open,
-    resharding,
+    writes,
     wal_records,
     wal_bytes,
     replayed_records,
@@ -510,9 +553,7 @@ mod tests {
             shards_total: 4,
             shards_quarantined: 1,
             inflight: 2,
-            read_only: false,
-            half_open: false,
-            resharding: true,
+            writes: Writes::Resharding,
             wal_records: 37,
             wal_bytes: 4096,
             replayed_records: 12,
@@ -577,7 +618,6 @@ mod tests {
             applied: true,
             shard: Some(3),
             indexed: 601,
-            reshard_hint: true,
             retry_after_us: 0,
             error: None,
         });
@@ -618,6 +658,20 @@ mod tests {
             assert_eq!(outcome.as_str(), spelling);
             assert_eq!(Outcome::parse(spelling), Some(outcome));
         }
+        // So are the health probe's write states.
+        let writes = [
+            (Writes::Open, "open"),
+            (Writes::NoWal, "no_wal"),
+            (Writes::Resharding, "resharding"),
+            (Writes::HalfOpen, "half_open"),
+        ];
+        assert_eq!(writes.len(), Writes::ALL.len(), "new write states must be pinned here");
+        for (state, spelling) in writes {
+            assert_eq!(state.as_str(), spelling);
+            assert_eq!(Writes::parse(spelling), Some(state));
+            assert_eq!(wmh_json::to_string(&state), format!("\"{spelling}\""));
+        }
+        assert_eq!(Writes::parse("read_only"), None);
         // Request/response op names are contract too.
         for (req, op) in [
             (

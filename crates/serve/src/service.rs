@@ -24,10 +24,15 @@
 //!
 //! ## The write path (see also [`crate::wal`])
 //!
-//! Writes are serialized through one writer lock and follow a fixed
-//! order: validate → durable WAL append → mirror update → dispatch to the
-//! owning shard. The append is the commit point; everything after it is
-//! reconstructible, so a SIGKILL anywhere replays to the exact
+//! Whether a write may start at all is one decision, [`Writes`], made in
+//! one place and reported verbatim by [`Service::health`]: `no_wal`
+//! (opened read-only), `resharding`, `half_open` (a tripped write gate),
+//! or `open`. Every closed state answers `read_only`.
+//!
+//! Admitted writes are serialized through one writer lock and follow a
+//! fixed order: validate → durable WAL append → mirror update → dispatch
+//! to the owning shard. The append is the commit point; everything after
+//! it is reconstructible, so a SIGKILL anywhere replays to the exact
 //! acknowledged state. An apply failure inside a shard (retry budget
 //! exhausted) is self-healed by rebuilding that shard from the
 //! authoritative mirror — the same code path a cold open uses, so the
@@ -37,9 +42,12 @@
 //!
 //! The writer owns a [`Mirror`]: the live id set, the overlay codes of
 //! every id whose indexed sketch differs from the cold store, and the
-//! full streaming state of every drifting document. The mirror is what
-//! every rebuild (cold open, self-heal, re-shard) folds into shards, and
-//! it is exactly what a snapshot freezes:
+//! full streaming state of every drifting document. Live writes and WAL
+//! replay change it through the same two steps — one stream step
+//! ([`stream_step`]) and one commit ([`Mirror::commit`]) — so a replayed
+//! mirror equals the live one by construction. The mirror is what every
+//! rebuild (cold open, self-heal, re-shard) folds into shards, and it is
+//! exactly what a snapshot freezes:
 //!
 //! * [`Service::snapshot`] rotates the WAL to a fresh generation, writes
 //!   the mirror atomically as that generation's snapshot
@@ -64,14 +72,12 @@
 //! ## Re-sharding
 //!
 //! [`Service::reshard_blocking`] rebuilds the whole fleet at a new shard
-//! count behind the quarantine machinery: writes degrade to `read_only`,
-//! the most-loaded shard is frozen (queries serve degraded-but-correct
-//! `partial` results from the rest), the new partition is built from the
-//! mirror — the same builder as a cold open, so the converged fleet is
-//! byte-identical to a from-scratch partition — and swapped in under the
-//! fleet lock. Skew detection ([`Service::plan_reshard`]) drives the
-//! `reshard_hint` response field; the TCP front end turns the hint into a
-//! background re-shard.
+//! count on request. Writes answer `read_only` for the duration; queries
+//! keep being answered in full by the old fleet, which cannot change
+//! while the re-shard holds the writer lock. The new partition is built
+//! from the mirror — the same builder as a cold open, so the converged
+//! fleet is byte-identical to a from-scratch partition — and swapped in
+//! under the fleet lock.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -85,7 +91,7 @@ use crate::fingerprint::BbitFingerprint;
 use crate::gate::{WriteAdmission, WriteGate};
 use crate::protocol::{
     HealthResponse, MutationKind, MutationRequest, MutationResponse, Outcome, QueryRequest,
-    QueryResponse,
+    QueryResponse, Writes,
 };
 use crate::scrub::ScrubReport;
 use crate::shard::{
@@ -137,12 +143,6 @@ pub struct ServiceConfig {
     pub retry: wmh_fault::supervisor::RetryPolicy,
     /// Master seed for every deterministic schedule in the service.
     pub seed: u64,
-    /// Id-distribution imbalance (max shard size / ideal size) at which
-    /// mutation responses raise `reshard_hint`; `None` disables skew
-    /// detection.
-    pub reshard_skew: Option<f64>,
-    /// Largest shard count [`Service::plan_reshard`] will propose.
-    pub reshard_cap: usize,
     /// Take an automatic snapshot every N committed writes; `None`
     /// disables the trigger ([`Service::snapshot`] still works on
     /// demand). A failed automatic snapshot is absorbed — the write that
@@ -165,8 +165,6 @@ impl Default for ServiceConfig {
             probe_every: 8,
             retry: wmh_fault::supervisor::RetryPolicy::default(),
             seed: 0x5E27E,
-            reshard_skew: None,
-            reshard_cap: 8,
             snapshot_every: None,
         }
     }
@@ -238,16 +236,11 @@ impl std::error::Error for ServiceError {}
 struct ShardHealth {
     consecutive_failures: u32,
     quarantined: bool,
-    /// Set for the duration of a re-shard on the shard being rebuilt:
-    /// skipped at fan-out unconditionally (no half-open probes — the
-    /// freeze lifts when the re-shard finishes, not when a probe
-    /// succeeds).
-    frozen: bool,
 }
 
 impl ShardHealth {
     fn new() -> Self {
-        Self { consecutive_failures: 0, quarantined: false, frozen: false }
+        Self { consecutive_failures: 0, quarantined: false }
     }
 }
 
@@ -313,44 +306,48 @@ impl Mirror {
         })
     }
 
-    /// Fold one logged mutation — the replay twin of the live mirror
-    /// update in [`Service::mutate`]: identical HistoSketch calls in
-    /// identical order, so a recovered mirror is bit-identical to one
-    /// that took the writes live.
+    /// Replay one logged mutation through the same stream step and commit
+    /// the live write path uses. Deliberately non-validating: a record in
+    /// the log is committed (a failed fsync's rewind is best-effort), so
+    /// it must apply whatever the mirror holds.
     fn fold(
         &mut self,
         seed: u64,
         sketcher: &(dyn Sketcher + Send + Sync),
         m: &Mutation,
     ) -> Result<(), String> {
-        match m {
-            Mutation::Insert { id, codes } => {
-                self.live.insert(*id);
-                self.overlays.insert(*id, codes.clone());
-            }
-            Mutation::Delete { id } => {
-                self.live.remove(id);
-                self.overlays.remove(id);
-                self.streams.remove(id);
-            }
+        let (id, change) = match m {
+            Mutation::Insert { id, codes } => (*id, MirrorChange::Insert(codes.clone())),
+            Mutation::Delete { id } => (*id, MirrorChange::Delete),
             Mutation::Stream { id, lambda, items } => {
-                let state = match self.streams.entry(*id) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => v.insert(
-                        HistoSketch::new(seed, sketcher.num_hashes()).map_err(|e| e.to_string())?,
-                    ),
-                };
-                state.decay(*lambda).map_err(|e| e.to_string())?;
-                for &(k, mass) in items {
-                    state.add(k, mass).map_err(|e| e.to_string())?;
-                }
-                let set = state.histogram().map_err(|e| e.to_string())?;
-                let sketch = sketcher.sketch(&set).map_err(|e| e.to_string())?;
-                self.live.insert(*id);
-                self.overlays.insert(*id, sketch.codes);
+                let state = self.streams.remove(id);
+                let (sketch, state) = stream_step(state, seed, sketcher, *lambda, items)?;
+                (*id, MirrorChange::Stream { codes: sketch.codes, state })
+            }
+        };
+        self.commit(id, change);
+        Ok(())
+    }
+
+    /// Apply one committed change to `id`: the only place the mirror's
+    /// live set, overlays and streams are written after open.
+    fn commit(&mut self, id: u64, change: MirrorChange) {
+        match change {
+            MirrorChange::Insert(codes) => {
+                self.live.insert(id);
+                self.overlays.insert(id, codes);
+            }
+            MirrorChange::Delete => {
+                self.live.remove(&id);
+                self.overlays.remove(&id);
+                self.streams.remove(&id);
+            }
+            MirrorChange::Stream { codes, state } => {
+                self.live.insert(id);
+                self.overlays.insert(id, codes);
+                self.streams.insert(id, state);
             }
         }
-        Ok(())
     }
 
     /// Freeze the mirror as snapshot generation `generation`. Everything
@@ -368,16 +365,48 @@ impl Mirror {
     }
 }
 
+/// What one mutation does to the mirror, computed before it commits.
+enum MirrorChange {
+    /// The id becomes live with these codes.
+    Insert(Vec<u64>),
+    /// The id and everything kept for it are forgotten.
+    Delete,
+    /// The id becomes (or stays) a live stream with this post-step state.
+    Stream { codes: Vec<u64>, state: HistoSketch },
+}
+
+/// One streaming step: decay the id's histogram (a fresh one for a new
+/// stream) by `lambda`, add `items`, and sketch the result. Live writes
+/// and WAL replay both call this, so they make identical HistoSketch
+/// calls in identical order.
+fn stream_step(
+    state: Option<HistoSketch>,
+    seed: u64,
+    sketcher: &(dyn Sketcher + Send + Sync),
+    lambda: f64,
+    items: &[(u64, f64)],
+) -> Result<(Sketch, HistoSketch), String> {
+    let mut state = match state {
+        Some(state) => state,
+        None => HistoSketch::new(seed, sketcher.num_hashes()).map_err(|e| e.to_string())?,
+    };
+    state.decay(lambda).map_err(|e| e.to_string())?;
+    for &(k, mass) in items {
+        state.add(k, mass).map_err(|e| e.to_string())?;
+    }
+    let set = state.histogram().map_err(|e| format!("stream state: {e}"))?;
+    let sketch = sketcher.sketch(&set).map_err(|e| format!("unsketchable stream state: {e}"))?;
+    Ok((sketch, state))
+}
+
 /// Everything the write path owns, serialized under one lock: the WAL,
-/// the cold store, the authoritative mirror, and per-shard bookkeeping.
+/// the cold store and the authoritative mirror.
 struct WriteState {
     wal: Wal,
     /// The base every rebuild starts from.
     store: SketchStore,
     /// The authoritative mirror (see [`Mirror`]).
     mirror: Mirror,
-    /// Live points per shard of the *current* fleet (skew detection).
-    sizes: Vec<usize>,
     /// Committed writes since the last snapshot (drives
     /// [`ServiceConfig::snapshot_every`]).
     writes_since_snapshot: u64,
@@ -481,9 +510,6 @@ impl Service {
         if config.probe_every == 0 {
             return Err(ServiceError::BadConfig("probe_every must be positive".into()));
         }
-        if config.reshard_skew.is_some_and(|t| t.is_nan() || t < 1.0) {
-            return Err(ServiceError::BadConfig("reshard_skew must be >= 1.0".into()));
-        }
         if config.snapshot_every == Some(0) {
             return Err(ServiceError::BadConfig("snapshot_every must be positive".into()));
         }
@@ -547,7 +573,7 @@ impl Service {
             None => (None, Mirror::cold(store), None),
         };
 
-        let (shards, sizes) =
+        let shards =
             build_fleet(store, algorithm, bands, &config, config.shards, &mirror, "serve::ingest")?;
         let health = (0..config.shards).map(|_| ShardHealth::new()).collect();
         let live_count = mirror.live.len();
@@ -557,13 +583,7 @@ impl Service {
 
         let gate = WriteGate::new(usize::try_from(config.probe_every).unwrap_or(usize::MAX));
         let writer = wal.map(|wal| {
-            Mutex::new(WriteState {
-                wal,
-                store: store.clone(),
-                mirror,
-                sizes,
-                writes_since_snapshot: 0,
-            })
+            Mutex::new(WriteState { wal, store: store.clone(), mirror, writes_since_snapshot: 0 })
         });
         Ok(Self {
             indexed: AtomicUsize::new(live_count),
@@ -608,23 +628,11 @@ impl Service {
         let deadline = Deadline::after(Duration::from_micros(budget));
         let shards_total = self.lock_shards_read().len();
 
-        // Admission: the global in-flight cap, plus the injectable
-        // `serve::admission` rejection for overload drills.
-        let admitted = self.inflight.fetch_add(1, Ordering::AcqRel);
-        let _guard = InflightGuard(&self.inflight);
-        let admission_fault = wmh_fault::point!("serve::admission").err();
-        if admitted >= self.config.max_inflight || admission_fault.is_some() {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = QueryResponse::empty(
-                request.id,
-                Outcome::Overloaded,
-                shards_total,
-                Some(admission_fault.map_or_else(
-                    || format!("{admitted} requests in flight at cap {}", self.config.max_inflight),
-                    |fault| fault.to_string(),
-                )),
-            );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
+        let (_guard, overload) = self.admit();
+        if let Some(error) = overload {
+            let mut response =
+                QueryResponse::empty(request.id, Outcome::Overloaded, shards_total, Some(error));
+            response.retry_after_us = self.backoff_us(request_id);
             return response;
         }
 
@@ -671,9 +679,8 @@ impl Service {
             );
         }
 
-        // Fan out. Frozen shards (mid-re-shard) are skipped always;
-        // quarantined shards are skipped except on half-open probe
-        // requests; full inboxes shed explicitly.
+        // Fan out. Quarantined shards are skipped except on half-open
+        // probe requests; full inboxes shed explicitly.
         let sketch = Arc::new(sketch);
         let fp = Arc::new(fp);
         let (reply_tx, reply_rx) = mpsc::channel::<Slice>();
@@ -684,8 +691,7 @@ impl Service {
             let shards = self.lock_shards_read();
             let health = self.lock_health();
             for (shard_id, shard) in shards.iter().enumerate() {
-                let entry = &health[shard_id];
-                if entry.frozen || (entry.quarantined && !probing) {
+                if health[shard_id].quarantined && !probing {
                     continue;
                 }
                 let job = Job::Query(QueryJob {
@@ -789,104 +795,42 @@ impl Service {
         let budget = request.deadline_us.unwrap_or(self.config.default_deadline_us);
         let deadline = Deadline::after(Duration::from_micros(budget));
         let indexed = self.indexed.load(Ordering::Acquire);
+        let reject = |outcome, error: String| {
+            MutationResponse::rejected(request.id, outcome, indexed, Some(error))
+        };
 
         // Admission first: an overloaded service rejects writes before
         // touching the WAL, so `overloaded` always means "nothing
         // happened, retry verbatim".
-        let admitted = self.inflight.fetch_add(1, Ordering::AcqRel);
-        let _guard = InflightGuard(&self.inflight);
-        let admission_fault = wmh_fault::point!("serve::admission").err();
-        if admitted >= self.config.max_inflight || admission_fault.is_some() {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = MutationResponse::rejected(
-                request.id,
-                Outcome::Overloaded,
-                indexed,
-                Some(admission_fault.map_or_else(
-                    || format!("{admitted} requests in flight at cap {}", self.config.max_inflight),
-                    |fault| fault.to_string(),
-                )),
-            );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
+        let (_guard, overload) = self.admit();
+        if let Some(error) = overload {
+            let mut response = reject(Outcome::Overloaded, error);
+            response.retry_after_us = self.backoff_us(request_id);
             return response;
         }
 
-        let Some(writer) = &self.writer else {
-            return MutationResponse::rejected(
-                request.id,
-                Outcome::ReadOnly,
-                indexed,
-                Some("service was opened read-only (no write-ahead log)".into()),
-            );
+        // Write availability: the decision `health()` reports. Only an
+        // open or half-open service consults the gate, whose `admit()`
+        // counts attempts toward the probe cadence: `Reject` is a tripped
+        // gate's fast path, `Probe` proceeds into the real durable append
+        // — its success is the evidence that re-opens the gate.
+        let writes = self.writes();
+        let admission = match writes {
+            Writes::Open | Writes::HalfOpen => self.gate.admit(),
+            Writes::NoWal | Writes::Resharding => WriteAdmission::Reject,
         };
-        if self.resharding.load(Ordering::Acquire) {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = MutationResponse::rejected(
-                request.id,
-                Outcome::ReadOnly,
-                indexed,
-                Some("re-shard in progress; writes resume when it completes".into()),
-            );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-            return response;
-        }
-        // The half-open write gate. `Reject` is the fast path of a
-        // tripped gate; `Probe` proceeds into the real durable append —
-        // its success is the evidence that re-opens the gate.
-        let admission = self.gate.admit();
-        if admission == WriteAdmission::Reject {
-            let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
-            let mut response = MutationResponse::rejected(
-                request.id,
-                Outcome::ReadOnly,
-                indexed,
-                Some(
-                    "write gate tripped by a WAL failure; half-open probes re-admit \
-                     writes once an append succeeds — retry later"
-                        .into(),
-                ),
-            );
-            response.retry_after_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-            return response;
-        }
+        let (Some(writer), WriteAdmission::Open | WriteAdmission::Probe) =
+            (&self.writer, admission)
+        else {
+            return self.writes_closed(request.id, request_id, indexed, writes);
+        };
 
         // Pre-sketch inserts and pre-validate stream parameters outside
         // the writer lock: everything rejectable without id bookkeeping is
         // rejected before any serialization point.
-        let presketched = match &request.kind {
-            MutationKind::Insert { doc } => match self.sketch_doc(doc) {
-                Ok(pair) => Some(pair),
-                Err(e) => {
-                    return MutationResponse::rejected(
-                        request.id,
-                        Outcome::BadRequest,
-                        indexed,
-                        Some(e),
-                    )
-                }
-            },
-            MutationKind::Delete => None,
-            MutationKind::Stream { lambda, items } => {
-                if !lambda.is_finite() || *lambda <= 0.0 || *lambda > 1.0 {
-                    return MutationResponse::rejected(
-                        request.id,
-                        Outcome::BadRequest,
-                        indexed,
-                        Some(format!("decay factor lambda {lambda} outside (0, 1]")),
-                    );
-                }
-                if let Some((k, mass)) =
-                    items.iter().find(|(_, mass)| !mass.is_finite() || *mass <= 0.0)
-                {
-                    return MutationResponse::rejected(
-                        request.id,
-                        Outcome::BadRequest,
-                        indexed,
-                        Some(format!("stream item ({k}, {mass}) has non-positive mass")),
-                    );
-                }
-                None
-            }
+        let presketched = match self.presketch(&request.kind) {
+            Ok(presketched) => presketched,
+            Err(e) => return reject(Outcome::BadRequest, e),
         };
 
         // Serialize: validate against live ids, commit to the WAL, update
@@ -894,27 +838,17 @@ impl Service {
         // lock, so WAL order is exactly per-shard apply order.
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
 
-        // Prepare the (record, apply-op) pair; every rejection here
-        // happens *before* the append, so a `bad_request` never commits.
+        // Prepare the (record, apply-op, mirror-change) triple; every
+        // rejection here happens *before* the append, so a `bad_request`
+        // never commits.
         let prepared = prepare_mutation(&w, request, presketched, &*self.sketcher, &self.config);
-        let (record, op, new_stream) = match prepared {
+        let (record, op, change) = match prepared {
             Ok(triple) => triple,
-            Err(e) => {
-                return MutationResponse::rejected(
-                    request.id,
-                    Outcome::BadRequest,
-                    indexed,
-                    Some(e),
-                )
-            }
+            Err(e) => return reject(Outcome::BadRequest, e),
         };
         if deadline.expired() {
-            return MutationResponse::rejected(
-                request.id,
-                Outcome::DeadlineExceeded,
-                indexed,
-                Some(format!("budget {budget}us spent before the WAL append")),
-            );
+            let error = format!("budget {budget}us spent before the WAL append");
+            return reject(Outcome::DeadlineExceeded, error);
         }
 
         // The commit point: durable append, transient faults retried
@@ -930,14 +864,7 @@ impl Service {
         });
         let append_failure = match appended {
             CellOutcome::Completed(Ok(())) => None,
-            CellOutcome::Completed(Err(e)) => {
-                return MutationResponse::rejected(
-                    request.id,
-                    Outcome::BadRequest,
-                    indexed,
-                    Some(e),
-                )
-            }
+            CellOutcome::Completed(Err(e)) => return reject(Outcome::BadRequest, e),
             CellOutcome::TimedOut => Some("WAL append deadline".to_owned()),
             CellOutcome::Quarantined { attempts, error } => {
                 Some(format!("WAL append failed after {attempts} attempts: {error}"))
@@ -945,14 +872,12 @@ impl Service {
         };
         if let Some(detail) = append_failure {
             self.gate.trip();
-            return MutationResponse::rejected(
-                request.id,
+            return reject(
                 Outcome::ReadOnly,
-                indexed,
-                Some(format!(
+                format!(
                     "{detail}; write gate tripped — half-open probes re-admit writes \
                      once an append succeeds"
-                )),
+                ),
             );
         }
         // A successful probe append IS the recovery evidence: the fault
@@ -965,35 +890,7 @@ impl Service {
 
         // Committed. Mirror the mutation, then apply it — from here on the
         // response always reports `durable: true`.
-        let was_live = w.mirror.live.contains(&request.id);
-        let overlay_codes = match &op {
-            ApplyOp::Insert { sketch, .. } | ApplyOp::Upsert { sketch, .. } => {
-                Some(sketch.codes.clone())
-            }
-            ApplyOp::Delete { .. } => None,
-        };
-        match &request.kind {
-            MutationKind::Insert { .. } => {
-                w.mirror.live.insert(request.id);
-                if let Some(codes) = overlay_codes {
-                    w.mirror.overlays.insert(request.id, codes);
-                }
-            }
-            MutationKind::Delete => {
-                w.mirror.live.remove(&request.id);
-                w.mirror.overlays.remove(&request.id);
-                w.mirror.streams.remove(&request.id);
-            }
-            MutationKind::Stream { .. } => {
-                w.mirror.live.insert(request.id);
-                if let Some(codes) = overlay_codes {
-                    w.mirror.overlays.insert(request.id, codes);
-                }
-                if let Some(state) = new_stream {
-                    w.mirror.streams.insert(request.id, state);
-                }
-            }
-        }
+        w.mirror.commit(request.id, change);
         let live_count = w.mirror.live.len();
         self.indexed.store(live_count, Ordering::Release);
 
@@ -1020,17 +917,18 @@ impl Service {
                 shards[shard_id].tx.send(Job::Apply(Box::new(ApplyJob { op, reply: ack_tx })));
             (shard_id, sent, ack_rx)
         };
-        match &request.kind {
-            MutationKind::Insert { .. } => w.sizes[shard_id] += 1,
-            MutationKind::Delete => w.sizes[shard_id] = w.sizes[shard_id].saturating_sub(1),
-            MutationKind::Stream { .. } => {
-                if !was_live {
-                    w.sizes[shard_id] += 1;
-                }
-            }
-        }
-        let reshard_hint =
-            self.config.reshard_skew.is_some_and(|threshold| imbalance(&w.sizes) >= threshold);
+        // Every response from here on is durable, and applied exactly
+        // when its verdict is `ok`.
+        let committed = |outcome, error| MutationResponse {
+            id: request.id,
+            outcome,
+            durable: true,
+            applied: outcome == Outcome::Ok,
+            shard: Some(shard_id),
+            indexed: live_count,
+            retry_after_us: 0,
+            error,
+        };
 
         let ack = if send_result.is_err() {
             // The worker is gone (only possible mid-teardown): treat as an
@@ -1048,96 +946,62 @@ impl Service {
                     Err(RecvTimeoutError::Timeout) => {
                         // Committed but unconfirmed: the worker applies it
                         // regardless; only the wait ran out.
-                        return MutationResponse {
-                            id: request.id,
-                            outcome: Outcome::DeadlineExceeded,
-                            durable: true,
-                            applied: false,
-                            shard: Some(shard_id),
-                            indexed: live_count,
-                            reshard_hint,
-                            retry_after_us: 0,
-                            error: Some(
-                                "committed to the WAL; apply not confirmed in budget".into(),
-                            ),
-                        };
+                        let error = "committed to the WAL; apply not confirmed in budget";
+                        return committed(Outcome::DeadlineExceeded, Some(error.into()));
                     }
                     Err(RecvTimeoutError::Disconnected) => Err("shard worker gone".to_owned()),
                 },
             }
         };
+        let Err(apply_error) = ack else { return committed(Outcome::Ok, None) };
 
-        match ack {
-            Ok(()) => MutationResponse {
-                id: request.id,
-                outcome: Outcome::Ok,
-                durable: true,
-                applied: true,
-                shard: Some(shard_id),
-                indexed: live_count,
-                reshard_hint,
-                retry_after_us: 0,
-                error: None,
-            },
-            Err(apply_error) => {
-                self.self_heal(&mut w, shard_id, request, live_count, reshard_hint, &apply_error)
-            }
-        }
-    }
-
-    /// An apply failed after its in-worker retry budget: the shard's
-    /// memory no longer matches the log. Rebuild it from the authoritative
-    /// mirror — the same builder a cold open uses — and swap it into the
-    /// fleet. If even the rebuild fails, quarantine the shard and trip the
-    /// write gate: the log stays authoritative, and a half-open probe (or
-    /// a restart) recovers.
-    fn self_heal(
-        &self,
-        w: &mut WriteState,
-        shard_id: usize,
-        request: &MutationRequest,
-        live_count: usize,
-        reshard_hint: bool,
-        apply_error: &str,
-    ) -> MutationResponse {
-        match self.rebuild_shard_locked(w, shard_id) {
-            Ok(()) => MutationResponse {
-                id: request.id,
-                outcome: Outcome::Ok,
-                durable: true,
-                applied: true,
-                shard: Some(shard_id),
-                indexed: live_count,
-                reshard_hint,
-                retry_after_us: 0,
-                error: Some(format!(
+        // The apply failed after its in-worker retry budget: the shard's
+        // memory no longer matches the log. Rebuild it from the
+        // authoritative mirror — the same builder a cold open uses. If
+        // even the rebuild fails, quarantine the shard and trip the write
+        // gate: the log stays authoritative, and a half-open probe (or a
+        // restart) recovers.
+        match self.rebuild_shard_locked(&w, shard_id) {
+            Ok(()) => committed(
+                Outcome::Ok,
+                Some(format!(
                     "apply failed ({apply_error}); shard {shard_id} rebuilt from the \
                      durable state"
                 )),
-            },
+            ),
             Err(rebuild_error) => {
-                {
-                    let mut health = self.lock_health();
-                    if let Some(entry) = health.get_mut(shard_id) {
-                        entry.quarantined = true;
-                    }
+                if let Some(entry) = self.lock_health().get_mut(shard_id) {
+                    entry.quarantined = true;
                 }
                 self.gate.trip();
-                MutationResponse {
-                    id: request.id,
-                    outcome: Outcome::ReadOnly,
-                    durable: true,
-                    applied: false,
-                    shard: Some(shard_id),
-                    indexed: live_count,
-                    reshard_hint,
-                    retry_after_us: 0,
-                    error: Some(format!(
+                committed(
+                    Outcome::ReadOnly,
+                    Some(format!(
                         "apply failed ({apply_error}); shard rebuild also failed \
                          ({rebuild_error}); shard quarantined, write gate tripped — the WAL \
                          stays authoritative and probes or a restart recover"
                     )),
+                )
+            }
+        }
+    }
+
+    /// Sketch an insert's document, or check a stream step's parameters —
+    /// everything about a write that needs no id bookkeeping.
+    fn presketch(&self, kind: &MutationKind) -> Result<Option<(Sketch, BbitFingerprint)>, String> {
+        match kind {
+            MutationKind::Insert { doc } => self.sketch_doc(doc).map(Some),
+            MutationKind::Delete => Ok(None),
+            MutationKind::Stream { lambda, items } => {
+                if !lambda.is_finite() || *lambda <= 0.0 || *lambda > 1.0 {
+                    return Err(format!("decay factor lambda {lambda} outside (0, 1]"));
                 }
+                if let Some((k, mass)) =
+                    items.iter().find(|(_, mass)| !mass.is_finite() || *mass <= 0.0)
+                {
+                    return Err(format!("stream item ({k}, {mass}) has non-positive mass"));
+                }
+                Ok(None)
             }
         }
     }
@@ -1145,7 +1009,7 @@ impl Service {
     /// Rebuild one shard from the mirror and swap it into the fleet,
     /// resetting its health entry. Shared by mutation self-heal and the
     /// scrubber's mismatch repair.
-    fn rebuild_shard_locked(&self, w: &mut WriteState, shard_id: usize) -> Result<(), String> {
+    fn rebuild_shard_locked(&self, w: &WriteState, shard_id: usize) -> Result<(), String> {
         let count = self.lock_shards_read().len();
         let built = supervise(&self.config.retry, self.config.seed, shard_id as u64, |_| {
             build_shard(
@@ -1169,9 +1033,6 @@ impl Service {
                 return Err(format!("after {attempts} attempts: {error}"))
             }
         };
-        if let Some(size) = w.sizes.get_mut(shard_id) {
-            *size = index.len();
-        }
         let shard = Shard::spawn(
             shard_id,
             index,
@@ -1378,7 +1239,7 @@ impl Service {
                 // Self-heal through the same rebuild the mutation path
                 // uses; failure leaves the shard quarantined (fan-out
                 // skips it, probes keep trying).
-                if let Err(e) = self.rebuild_shard_locked(&mut w, shard_id) {
+                if let Err(e) = self.rebuild_shard_locked(&w, shard_id) {
                     report.heal_errors.push(format!("rebuilding shard {shard_id}: {e}"));
                 }
             }
@@ -1398,10 +1259,11 @@ impl Service {
     }
 
     /// Rebuild the fleet at `to` shards, blocking until the swap. Writes
-    /// answer `read_only` for the duration; queries keep serving, degraded
-    /// by the frozen (most-loaded) shard. The new partition is built by
-    /// the cold-open builder over the mirror, so it is byte-identical to a
-    /// from-scratch partition at `to` shards.
+    /// answer `read_only` for the duration. Queries keep being answered in
+    /// full by the old fleet, which holding the writer lock keeps static
+    /// and complete. The new partition is built by the cold-open builder
+    /// over the mirror, so it is byte-identical to a from-scratch
+    /// partition at `to` shards.
     ///
     /// # Errors
     /// [`ServiceError::ReadOnlyService`] for WAL-less services,
@@ -1425,25 +1287,11 @@ impl Service {
         let _flag = ReshardGuard(&self.resharding);
         // Taking the writer lock waits out any in-flight mutation, so the
         // mirror we build from includes everything acknowledged.
-        let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let w = writer.lock().unwrap_or_else(PoisonError::into_inner);
         let from = self.lock_shards_read().len();
-
-        // Freeze the most-loaded shard — the skew source — behind the
-        // quarantine machinery: queries degrade to partial, no probes.
-        let frozen = w
-            .sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &size)| size)
-            .map_or(0, |(shard_id, _)| shard_id);
-        {
-            let mut health = self.lock_health();
-            if let Some(entry) = health.get_mut(frozen) {
-                entry.frozen = true;
-            }
-        }
-
-        let built = build_fleet(
+        // On failure the old fleet stays in place and the guard re-opens
+        // writes.
+        let shards = build_fleet(
             &w.store,
             self.algorithm,
             self.bands,
@@ -1451,73 +1299,14 @@ impl Service {
             to,
             &w.mirror,
             "serve::reshard",
-        );
-        let (shards, sizes) = match built {
-            Ok(pair) => pair,
-            Err(e) => {
-                // Abort: unfreeze, old fleet intact, writes resume (the
-                // guard clears the flag).
-                let mut health = self.lock_health();
-                if let Some(entry) = health.get_mut(frozen) {
-                    entry.frozen = false;
-                }
-                return Err(e);
-            }
-        };
+        )?;
         {
             let mut fleet = self.lock_shards_write();
             let mut health = self.lock_health();
             *fleet = shards;
             *health = (0..to).map(|_| ShardHealth::new()).collect();
         }
-        w.sizes = sizes;
         Ok(ReshardReport { from, to, points: w.mirror.live.len() })
-    }
-
-    /// Propose a better shard count, or `None` when the current partition
-    /// is within the configured skew threshold (or skew detection is off,
-    /// or the service is read-only). Deterministic: scans live ids against
-    /// every candidate count up to `reshard_cap`.
-    #[must_use]
-    pub fn plan_reshard(&self) -> Option<usize> {
-        let threshold = self.config.reshard_skew?;
-        let writer = self.writer.as_ref()?;
-        let w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.lock_shards_read().len();
-        if imbalance(&w.sizes) < threshold {
-            return None;
-        }
-        let cap = self.config.reshard_cap.max(current).max(1);
-        let mut best = (current, imbalance(&w.sizes));
-        for candidate in 1..=cap {
-            if candidate == current {
-                continue;
-            }
-            let mut counts = vec![0usize; candidate];
-            for &id in &w.mirror.live {
-                counts[(id % candidate as u64) as usize] += 1;
-            }
-            let skew = imbalance(&counts);
-            if skew + 1e-9 < best.1 {
-                best = (candidate, skew);
-            }
-        }
-        (best.0 != current).then_some(best.0)
-    }
-
-    /// Kick off [`Self::reshard_blocking`] on a background thread if
-    /// [`Self::plan_reshard`] proposes a count. Returns whether one
-    /// started. Failures (including a concurrent re-shard) are absorbed —
-    /// the old fleet keeps serving either way.
-    pub fn spawn_reshard(self: &Arc<Self>) -> bool {
-        let Some(to) = self.plan_reshard() else { return false };
-        let service = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("wmh-serve-reshard".into())
-            .spawn(move || {
-                let _ = service.reshard_blocking(to);
-            })
-            .is_ok()
     }
 
     /// Health / readiness snapshot. Durability gauges (`wal_records`,
@@ -1527,8 +1316,6 @@ impl Service {
         let shards_total = self.lock_shards_read().len();
         let health = self.lock_health();
         let quarantined = health.iter().filter(|entry| entry.quarantined).count();
-        let resharding = self.resharding.load(Ordering::Acquire);
-        let half_open = self.writer.is_some() && !self.gate.is_open();
         let replay = self.recovery.as_ref().map(|r| &r.replay);
         HealthResponse {
             ready: quarantined < shards_total,
@@ -1536,9 +1323,7 @@ impl Service {
             shards_total,
             shards_quarantined: quarantined,
             inflight: self.inflight.load(Ordering::Acquire),
-            read_only: self.writer.is_none() || half_open || resharding,
-            half_open,
-            resharding,
+            writes: self.writes(),
             wal_records: self.wal_records.load(Ordering::Acquire),
             wal_bytes: self.wal_bytes.load(Ordering::Acquire),
             replayed_records: replay.map_or(0, |r| r.records as u64),
@@ -1548,6 +1333,69 @@ impl Service {
                 gen => Some(gen),
             },
         }
+    }
+
+    /// Whether writes are accepted, first closed reason winning: no WAL,
+    /// then a running re-shard, then a tripped write gate.
+    fn writes(&self) -> Writes {
+        if self.writer.is_none() {
+            Writes::NoWal
+        } else if self.resharding.load(Ordering::Acquire) {
+            Writes::Resharding
+        } else if !self.gate.is_open() {
+            Writes::HalfOpen
+        } else {
+            Writes::Open
+        }
+    }
+
+    /// The `read_only` answer to a write that `closed` turned away. The
+    /// transient states carry the seeded backoff hint; `no_wal` never
+    /// changes, so it carries none.
+    fn writes_closed(
+        &self,
+        id: u64,
+        request_id: u64,
+        indexed: usize,
+        closed: Writes,
+    ) -> MutationResponse {
+        let error = match closed {
+            Writes::NoWal => "service was opened read-only (no write-ahead log)",
+            Writes::Resharding => "re-shard in progress; writes resume when it completes",
+            // `Open` here: the gate tripped between `writes()` and `admit()`.
+            Writes::Open | Writes::HalfOpen => {
+                "write gate tripped by a WAL failure; half-open probes re-admit writes once an \
+                 append succeeds — retry later"
+            }
+        };
+        let mut response =
+            MutationResponse::rejected(id, Outcome::ReadOnly, indexed, Some(error.into()));
+        if closed != Writes::NoWal {
+            response.retry_after_us = self.backoff_us(request_id);
+        }
+        response
+    }
+
+    /// Admission: the global in-flight cap, plus the injectable
+    /// `serve::admission` rejection for overload drills. The guard holds
+    /// an in-flight slot either way; a `Some` reason means overloaded.
+    fn admit(&self) -> (InflightGuard<'_>, Option<String>) {
+        let admitted = self.inflight.fetch_add(1, Ordering::AcqRel);
+        let guard = InflightGuard(&self.inflight);
+        let overload = match wmh_fault::point!("serve::admission") {
+            Err(fault) => Some(fault.to_string()),
+            Ok(()) if admitted >= self.config.max_inflight => {
+                Some(format!("{admitted} requests in flight at cap {}", self.config.max_inflight))
+            }
+            Ok(()) => None,
+        };
+        (guard, overload)
+    }
+
+    /// The seeded first-attempt backoff hint for a rejected request.
+    fn backoff_us(&self, request_id: u64) -> u64 {
+        let backoff = self.config.retry.backoff(self.config.seed, request_id, 1);
+        u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX)
     }
 
     /// The configuration the service runs under.
@@ -1597,9 +1445,9 @@ impl Drop for Service {
     }
 }
 
-/// Prepared write: the WAL record, the shard apply op, and (for streams)
-/// the post-mutation HistoSketch state to commit into the mirror.
-type PreparedWrite = (Mutation, ApplyOp, Option<HistoSketch>);
+/// Prepared write: the WAL record, the shard apply op, and the change to
+/// commit into the mirror once the record is durable.
+type PreparedWrite = (Mutation, ApplyOp, MirrorChange);
 
 /// Validate a mutation against the live-id bookkeeping and derive its
 /// (record, apply-op) pair. Runs entirely *before* the WAL append: every
@@ -1620,13 +1468,14 @@ fn prepare_mutation(
             let (sketch, fp) =
                 presketched.ok_or_else(|| "insert without a pre-sketched document".to_owned())?;
             let record = Mutation::Insert { id, codes: sketch.codes.clone() };
-            Ok((record, ApplyOp::Insert { id, sketch, fp }, None))
+            let change = MirrorChange::Insert(sketch.codes.clone());
+            Ok((record, ApplyOp::Insert { id, sketch, fp }, change))
         }
         MutationKind::Delete => {
             if !w.mirror.live.contains(&id) {
                 return Err(format!("id {id} is not indexed"));
             }
-            Ok((Mutation::Delete { id }, ApplyOp::Delete { id }, None))
+            Ok((Mutation::Delete { id }, ApplyOp::Delete { id }, MirrorChange::Delete))
         }
         MutationKind::Stream { lambda, items } => {
             // A static (non-streaming) live id has no histogram to decay;
@@ -1643,35 +1492,14 @@ fn prepare_mutation(
             if state.is_none() && items.is_empty() {
                 return Err(format!("cannot create streaming id {id} from an empty item list"));
             }
-            let mut state = match state {
-                Some(state) => state,
-                None => HistoSketch::new(w.store.seed(), sketcher.num_hashes())
-                    .map_err(|e| e.to_string())?,
-            };
-            state.decay(*lambda).map_err(|e| e.to_string())?;
-            for &(k, mass) in items {
-                state.add(k, mass).map_err(|e| e.to_string())?;
-            }
-            let set = state.histogram().map_err(|e| format!("stream state: {e}"))?;
-            let sketch =
-                sketcher.sketch(&set).map_err(|e| format!("unsketchable stream state: {e}"))?;
+            let (sketch, state) = stream_step(state, w.store.seed(), sketcher, *lambda, items)?;
             let fp = BbitFingerprint::pack(&sketch.codes, config.fingerprint_bits)
                 .map_err(|e| e.to_string())?;
             let record = Mutation::Stream { id, lambda: *lambda, items: items.clone() };
-            Ok((record, ApplyOp::Upsert { id, sketch, fp }, Some(state)))
+            let change = MirrorChange::Stream { codes: sketch.codes.clone(), state };
+            Ok((record, ApplyOp::Upsert { id, sketch, fp }, change))
         }
     }
-}
-
-/// Imbalance of a partition: max shard size over the ideal (uniform)
-/// size. 1.0 is perfectly balanced; an empty fleet reads as balanced.
-fn imbalance(sizes: &[usize]) -> f64 {
-    let total: usize = sizes.iter().sum();
-    let max = sizes.iter().copied().max().unwrap_or(0);
-    if total == 0 || sizes.is_empty() {
-        return 1.0;
-    }
-    (max * sizes.len()) as f64 / total as f64
 }
 
 /// The WAL/snapshot provenance binding of a store.
@@ -1694,14 +1522,10 @@ fn build_sketcher(algorithm: Algorithm, store: &SketchStore) -> Result<DynSketch
 /// fingerprints for every point it owns.
 type ShardContents = (LshIndex<DynSketcher>, HashMap<u64, BbitFingerprint>);
 
-/// Spawned shard workers plus per-shard sizes, as produced by
-/// [`build_fleet`].
-type FleetParts = (Vec<Shard>, Vec<usize>);
-
-/// Build every shard of a fleet at `count` shards from the mirror, spawn
-/// the workers, and report per-shard sizes. Used by cold open, self-heal
-/// (single shard via [`build_shard`]), and re-shard — one builder, so
-/// every path converges byte-identical.
+/// Build every shard of a fleet at `count` shards from the mirror and
+/// spawn the workers. Used by cold open, self-heal (single shard via
+/// [`build_shard`]), and re-shard — one builder, so every path converges
+/// byte-identical.
 fn build_fleet(
     store: &SketchStore,
     algorithm: Algorithm,
@@ -1710,9 +1534,8 @@ fn build_fleet(
     count: usize,
     mirror: &Mirror,
     failpoint: &'static str,
-) -> Result<FleetParts, ServiceError> {
+) -> Result<Vec<Shard>, ServiceError> {
     let mut shards = Vec::with_capacity(count);
-    let mut sizes = Vec::with_capacity(count);
     for shard_id in 0..count {
         let built = supervise(&config.retry, config.seed, shard_id as u64, |_| {
             build_shard(store, algorithm, bands, config, shard_id, count, mirror, failpoint)
@@ -1733,7 +1556,6 @@ fn build_fleet(
                 return Err(ServiceError::Ingest { shard: shard_id, attempts, error })
             }
         };
-        sizes.push(index.len());
         shards.push(
             Shard::spawn(
                 shard_id,
@@ -1746,7 +1568,7 @@ fn build_fleet(
             .map_err(ServiceError::Spawn)?,
         );
     }
-    Ok((shards, sizes))
+    Ok(shards)
 }
 
 /// One attempt at building a shard: batch-ingest its slice of the live

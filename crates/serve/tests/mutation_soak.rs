@@ -18,7 +18,8 @@
 //! * **Re-sharding converges byte-identically** to a from-scratch
 //!   partition at the new shard count, even when the rebuild itself is
 //!   fault-injected (`serve::reshard`); a permanently failing rebuild is a
-//!   typed error that leaves the old fleet serving.
+//!   typed error that leaves the old fleet serving. While a re-shard runs,
+//!   queries stay fully answered and writes answer `read_only`.
 //!
 //! Every test holds a [`wmh_fault::scenario`] guard for its full duration,
 //! so schedules cannot leak across concurrently scheduled tests.
@@ -32,6 +33,7 @@ use wmh_data::PAPER_DATASETS;
 use wmh_fault::supervisor::RetryPolicy;
 use wmh_serve::{
     MutationKind, MutationRequest, Outcome, QueryRequest, Service, ServiceConfig, ServiceError,
+    Writes,
 };
 use wmh_sets::WeightedSet;
 
@@ -226,7 +228,7 @@ fn exhausted_append_flips_read_only_and_commits_nothing() {
         first.error.as_deref().is_some_and(|e| e.contains("write gate tripped")),
         "the trip must be reported: {first:?}"
     );
-    assert!(service.health().read_only, "health must surface the degradation");
+    assert_eq!(service.health().writes, Writes::HalfOpen, "health must surface the degradation");
 
     // Later writes short-circuit; queries keep serving.
     let second = service.mutate(request);
@@ -327,7 +329,7 @@ fn reshard_under_faults_is_byte_identical_to_from_scratch() {
 
     let report = service.reshard_blocking(8).expect("re-shard under transient faults");
     assert_eq!((report.from, report.to), (2, 8));
-    assert!(!service.health().resharding, "the flag must clear");
+    assert_ne!(service.health().writes, Writes::Resharding, "the flag must clear");
 
     // Writes resume after the swap.
     let after = service.mutate(&MutationRequest {
@@ -344,6 +346,45 @@ fn reshard_under_faults_is_byte_identical_to_from_scratch() {
         probe(&fresh, &docs),
         "re-shard diverged from a from-scratch partition"
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// While a re-shard runs, the old fleet still answers every query in full
+/// (nothing can change it: the re-shard holds the writer lock), and writes
+/// answer `read_only` with a backoff hint. The sleep schedule holds each
+/// rebuild batch open long enough to observe the window.
+#[test]
+fn reshard_window_keeps_queries_whole_and_closes_writes() {
+    let _guard = wmh_fault::scenario("serve::reshard=always:sleep200ms", seed()).expect("scenario");
+    let docs = corpus(24);
+    let store = store_for(&docs);
+    let dir = scratch("reshard-window");
+
+    let service = Service::open(&store, &dir.join("soak.wal"), config(2)).expect("open");
+    run_script(&service, &script(&docs, 8));
+    std::thread::scope(|scope| {
+        let reshard = scope.spawn(|| service.reshard_blocking(4));
+        while service.health().writes != Writes::Resharding {
+            assert!(!reshard.is_finished(), "the re-shard ended before it was observed");
+            std::thread::yield_now();
+        }
+
+        let served = service.query(&query(&docs[0], 0));
+        assert_eq!(served.outcome, Outcome::Ok, "queries must not degrade: {served:?}");
+        assert_eq!(served.coverage, 1.0, "{served:?}");
+        let write = service.mutate(&MutationRequest {
+            id: 44_000_000,
+            kind: MutationKind::Insert { doc: docs[0].iter().collect() },
+            deadline_us: Some(5_000_000),
+        });
+        assert_eq!(write.outcome, Outcome::ReadOnly, "{write:?}");
+        assert!(!write.durable && !write.applied, "{write:?}");
+        assert!(write.retry_after_us > 0, "the rejection must carry backoff: {write:?}");
+
+        let report = reshard.join().expect("re-shard thread").expect("re-shard");
+        assert_eq!((report.from, report.to), (2, 4));
+    });
+    assert_eq!(service.health().writes, Writes::Open);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -369,7 +410,7 @@ fn failed_reshard_leaves_the_old_fleet_serving() {
         Err(other) => panic!("wrong error: {other}"),
         Ok(report) => panic!("always-failing rebuild re-sharded: {report:?}"),
     }
-    assert!(!service.health().resharding, "the flag must clear on failure");
+    assert_ne!(service.health().writes, Writes::Resharding, "the flag must clear on failure");
     assert_eq!(service.health().shards_total, 2, "old fleet intact");
     assert_eq!(probe(&service, &docs), before, "queries unchanged by the aborted re-shard");
 

@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use wmh_core::{SketchStore, Sketcher};
 use wmh_data::PAPER_DATASETS;
-use wmh_serve::{wire, Client, Outcome, QueryRequest, Response, Server, Service, ServiceConfig};
+use wmh_serve::{
+    wire, Client, Outcome, QueryRequest, Response, Server, Service, ServiceConfig, Writes,
+};
 use wmh_sets::WeightedSet;
 
 /// A small Table-4-shaped corpus (`Syn3E0.24S` scaled preserving overlap).
@@ -49,6 +51,7 @@ fn typed_outcomes_over_tcp() {
     assert!(health.ready, "{health:?}");
     assert_eq!(health.indexed, docs.len());
     assert_eq!(health.shards_quarantined, 0);
+    assert_eq!(health.writes, Writes::NoWal, "no WAL, no writes: {health:?}");
 
     let ok = client.query(&query(&docs[0], 1)).expect("query");
     assert_eq!(ok.outcome, Outcome::Ok, "{ok:?}");
@@ -72,6 +75,24 @@ fn typed_outcomes_over_tcp() {
     // transport failures.
     let again = client.query(&query(&docs[0], 4)).expect("query");
     assert_eq!(again.outcome, Outcome::Ok);
+}
+
+/// A service opened over a write-ahead log reports its writes `open`
+/// over the wire.
+#[test]
+fn wal_backed_service_reports_writes_open() {
+    let docs = corpus(24);
+    let dir = std::env::temp_dir().join(format!("wmh-serve-writes-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let service =
+        Arc::new(Service::open(&store_for(&docs), &dir.join("wal"), config(2)).expect("service"));
+    let server = Server::spawn(Arc::clone(&service), "127.0.0.1:0").expect("server");
+    let health = Client::connect(server.addr()).expect("connect").health().expect("health");
+    assert_eq!(health.writes, Writes::Open, "{health:?}");
+    server.shutdown();
+    drop(service);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -41,7 +41,7 @@ use wmh_data::PAPER_DATASETS;
 use wmh_fault::supervisor::RetryPolicy;
 use wmh_serve::{
     snapshot, MutationKind, MutationRequest, Outcome, QueryRequest, Service, ServiceConfig,
-    ServiceError,
+    ServiceError, Writes,
 };
 use wmh_sets::WeightedSet;
 
@@ -468,7 +468,7 @@ fn tripped_write_gate_readmits_after_the_fault_clears() {
     assert_eq!(trip.outcome, Outcome::ReadOnly, "{trip:?}");
     assert!(trip.error.as_deref().is_some_and(|e| e.contains("write gate tripped")), "{trip:?}");
     let health = service.health();
-    assert!(health.read_only && health.half_open, "{health:?}");
+    assert_eq!(health.writes, Writes::HalfOpen, "{health:?}");
 
     // While the fault persists: fast typed rejections with backoff, and
     // probe attempts that hit the still-broken disk re-trip, not panic.
@@ -494,7 +494,7 @@ fn tripped_write_gate_readmits_after_the_fault_clears() {
     }
     assert!(admitted.is_some(), "a probe within one cadence must re-admit writes");
     let health = service.health();
-    assert!(!health.read_only && !health.half_open, "{health:?}");
+    assert_eq!(health.writes, Writes::Open, "{health:?}");
 
     // Fully open again: the next write commits on the first attempt.
     let next = service.mutate(&script(&docs, 2)[1]);

@@ -93,7 +93,7 @@ register scrub-gate "flipped-bit detection/quarantine/heal, called out by name"
 register serve-smoke "loopback server answers every outcome class typed"
 register mutation-smoke "live-mutation soak over the wire with kill-resume"
 register schema-check "every checked-in results/*.json matches its schema"
-register perf-gate "wmh-perf quick suite vs results/BENCH_baseline.json (full mode only)"
+register perf-gate "wmh-perf quick suite vs the newest trajectory point (full mode only)"
 register perf-trajectory "compare the two newest checked-in trajectory points"
 register benchmark-tests "the benchmark/ package's own test suite"
 register fmt "cargo fmt --check (advisory if rustfmt missing)"
@@ -258,8 +258,9 @@ step_schema_check() {
   run cargo run "${RELEASE[@]}" -q -p wmh-perf --bin schema_check -- results
 }
 
-# Performance gate: the wmh-perf quick suite vs results/BENCH_baseline.json
-# (skippable via WMH_SKIP_PERF=1; tolerance via WMH_PERF_TOL).
+# Performance gate: the wmh-perf quick suite vs the newest
+# results/trajectory/BENCH_fig9_hot_*.json point (skippable via
+# WMH_SKIP_PERF=1; tolerance via WMH_PERF_TOL).
 step_perf_gate() {
   if [[ "$QUICK" == "1" ]]; then
     echo "==> skipping perf gate (--quick: debug timings are not gateable)"
@@ -273,8 +274,8 @@ step_perf_gate() {
 # WMH_PERF_TOL between consecutive points, and none disappeared (coverage
 # drop). This gates the history itself, not the current machine: both
 # inputs are checked-in files, so it runs in --quick mode too. After an
-# intentional perf change, append a new numbered point alongside the
-# refreshed results/BENCH_fig9_hot.json rather than rewriting old ones.
+# intentional perf change, append a new numbered point rather than
+# rewriting old ones; the newest point is also perf-gate's baseline.
 step_perf_trajectory() {
   local points=(results/trajectory/BENCH_fig9_hot_*.json)
   if ((${#points[@]} < 2)); then

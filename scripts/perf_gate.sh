@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI performance gate: run the wmh-perf quick suite (release build) and
-# compare per-workload medians against the checked-in baseline,
-# results/BENCH_baseline.json. A workload that slows by more than the
+# compare per-workload medians against the newest checked-in trajectory
+# point, results/trajectory/BENCH_fig9_hot_<N>.json (the same glob the
+# perf-trajectory CI step walks). A workload that slows by more than the
 # tolerance — or disappears from the suite — fails the gate. Workloads
 # over tolerance are re-measured individually (a scheduler burst on a
 # shared machine slows one sample batch, not every retry; a genuine
@@ -15,9 +16,9 @@
 #                      (default 2).
 #
 # The baseline is machine-dependent. After an intentional perf change (or
-# on a new machine), refresh it and commit the result:
+# on a new machine), append the next numbered point and commit it:
 #   cargo run --release -p wmh-perf -- run --profile quick \
-#     --out results/BENCH_baseline.json
+#     --out results/trajectory/BENCH_fig9_hot_00N.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,10 +27,11 @@ if [[ "${WMH_SKIP_PERF:-0}" == "1" ]]; then
   exit 0
 fi
 
+points=(results/trajectory/BENCH_fig9_hot_*.json)
 cargo build --release -q -p wmh-perf
 ./target/release/wmh-perf gate \
   --profile quick \
-  --baseline results/BENCH_baseline.json \
+  --baseline "${points[-1]}" \
   --out target/perf/BENCH_current.json \
   --tolerance "${WMH_PERF_TOL:-0.25}" \
   --retries "${WMH_PERF_RETRIES:-2}"
