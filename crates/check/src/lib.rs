@@ -13,8 +13,7 @@
 //! * [`chaos`] — [`chaos::ChaosBuf`], a byte-buffer corruptor (bit flips,
 //!   truncation, garbage suffixes) for crash-safety tests of binary
 //!   formats and checkpoint logs.
-//! * [`stress`] — barrier-synchronized concurrency hammering and a
-//!   single-thread witness for committer-style designs.
+//! * [`stress`] — barrier-synchronized concurrency hammering.
 
 pub mod adversarial;
 pub mod chaos;

@@ -1,15 +1,11 @@
-//! Concurrency-stress helpers: put threads at a starting line, release
-//! them at once, and assert single-threadedness where a design requires
-//! it (e.g. the sweep committer).
+//! Concurrency-stress helper: put threads at a starting line and release
+//! them at once.
 //!
-//! These are deliberately tiny: a [`std::sync::Barrier`]-synchronized
-//! fan-out ([`hammer`]) so racy windows actually overlap instead of being
-//! serialized by thread startup latency, and a [`SingleThreadWitness`]
-//! that records every thread observed at a call site and can attest that
-//! exactly one ever reached it.
+//! [`hammer`] is a [`std::sync::Barrier`]-synchronized fan-out, so racy
+//! windows actually overlap instead of being serialized by thread startup
+//! latency.
 
-use std::sync::{Barrier, Mutex};
-use std::thread::ThreadId;
+use std::sync::Barrier;
 
 /// Run `f(thread_index, iteration)` on `threads` threads, `iters` times
 /// each, with a barrier release before the first iteration so all threads
@@ -46,48 +42,6 @@ where
     });
 }
 
-/// Records the set of threads that reach a call site.
-///
-/// ```
-/// let witness = wmh_check::stress::SingleThreadWitness::new();
-/// witness.observe();
-/// witness.observe();
-/// assert_eq!(witness.distinct_threads(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct SingleThreadWitness {
-    seen: Mutex<Vec<ThreadId>>,
-}
-
-impl SingleThreadWitness {
-    /// A fresh witness with no observations.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the calling thread.
-    pub fn observe(&self) {
-        let id = std::thread::current().id();
-        let mut seen = self.seen.lock().expect("witness lock");
-        if !seen.contains(&id) {
-            seen.push(id);
-        }
-    }
-
-    /// How many observations happened on distinct threads.
-    #[must_use]
-    pub fn distinct_threads(&self) -> usize {
-        self.seen.lock().expect("witness lock").len()
-    }
-
-    /// Whether at least one observation happened, all on a single thread.
-    #[must_use]
-    pub fn is_single_threaded(&self) -> bool {
-        self.distinct_threads() == 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,22 +64,5 @@ mod tests {
             });
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn witness_detects_multiple_threads() {
-        let witness = SingleThreadWitness::new();
-        hammer(3, 5, |_, _| witness.observe());
-        assert_eq!(witness.distinct_threads(), 3);
-        assert!(!witness.is_single_threaded());
-    }
-
-    #[test]
-    fn witness_confirms_a_single_thread() {
-        let witness = SingleThreadWitness::new();
-        for _ in 0..10 {
-            witness.observe();
-        }
-        assert!(witness.is_single_threaded());
     }
 }

@@ -38,8 +38,8 @@ fn timed_run(scale: &Scale, threads: usize) -> (Vec<wmh_eval::MseCell>, f64) {
 
 fn main() {
     let requested = cli::threads_arg();
-    let parallel_threads =
-        if requested == 0 { wmh_par::available_parallelism() } else { requested };
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let parallel_threads = if requested == 0 { cores } else { requested };
     let scale = bench_scale();
     eprintln!(
         "par_bench: {} datasets x {} algorithms x {} repeats, 1 vs {} threads",
@@ -63,7 +63,7 @@ fn main() {
 
     let record = Json::Obj(vec![
         ("bench".to_owned(), "par_sweep".to_json()),
-        ("available_cores".to_owned(), (wmh_par::available_parallelism() as u64).to_json()),
+        ("available_cores".to_owned(), (cores as u64).to_json()),
         ("threads".to_owned(), (parallel_threads as u64).to_json()),
         (
             "cells".to_owned(),

@@ -23,7 +23,7 @@ pub mod cli;
 pub mod experiments;
 pub mod report;
 pub mod runner;
-pub mod sweep;
+mod sweep;
 
 // The cell supervisor (retry policy, seeded backoff, quarantine) moved to
 // `wmh-fault` so the serving layer can share it without depending on the
@@ -32,4 +32,3 @@ pub use wmh_fault::supervisor;
 
 pub use runner::{Budget, Measurement, MseCell, RunOptions, RunnerError, RuntimeCell, Scale};
 pub use supervisor::{Attempt, CellOutcome, RetryPolicy};
-pub use sweep::ParallelSweep;

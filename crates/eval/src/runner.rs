@@ -35,7 +35,6 @@
 
 use crate::checkpoint::{Checkpoint, Entry};
 use crate::supervisor::{supervise, Attempt, CellOutcome, RetryPolicy};
-use crate::sweep::ParallelSweep;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use wmh_core::others::UpperBounds;
@@ -309,7 +308,7 @@ impl RunOptions {
     #[must_use]
     pub fn effective_threads(&self) -> usize {
         if self.threads == 0 {
-            wmh_par::available_parallelism()
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             self.threads
         }
@@ -471,8 +470,8 @@ pub fn run_mse(scale: &Scale, algorithms: &[Algorithm]) -> Result<Vec<MseCell>, 
 /// to an uninterrupted run.
 ///
 /// Work is decomposed into `(dataset, algorithm, repeat)` cells and run on
-/// a [`ParallelSweep`] sized by [`RunOptions::effective_threads`]; any
-/// thread count yields byte-identical results (see [`crate::sweep`]).
+/// [`RunOptions::effective_threads`] workers; any thread count yields
+/// byte-identical results (see the `sweep` module).
 ///
 /// # Errors
 /// [`RunnerError`] on invalid scales, algorithm failures, or unusable
@@ -482,7 +481,7 @@ pub fn run_mse_with(
     algorithms: &[Algorithm],
     options: &RunOptions,
 ) -> Result<Vec<MseCell>, RunnerError> {
-    ParallelSweep::new(options.effective_threads()).run_mse(scale, algorithms, options)
+    crate::sweep::run_mse(options.effective_threads(), scale, algorithms, options)
 }
 
 /// Run the Figure 9 protocol: wall-clock seconds to encode

@@ -1,9 +1,9 @@
 //! Cell-level parallel execution of the Figure 8 protocol.
 //!
-//! [`ParallelSweep`] decomposes an MSE sweep into independent
-//! `(dataset, algorithm, repeat)` **cells** and schedules them on a
-//! [`wmh_par::ThreadPool`] work-stealing pool. Three properties hold at
-//! every thread count:
+//! [`run_mse`] decomposes an MSE sweep into independent
+//! `(dataset, algorithm, repeat)` **cells** and runs them through
+//! [`wmh_par::for_each_index`]. Three properties hold at every thread
+//! count:
 //!
 //! * **Determinism** — every random quantity in a cell derives from
 //!   `scale.seed` and the cell's own coordinates, never from the schedule.
@@ -38,18 +38,8 @@ use wmh_core::others::UpperBounds;
 use wmh_core::{Algorithm, SketchError};
 use wmh_data::pairs::sample_pairs;
 use wmh_data::SynConfig;
-use wmh_par::ThreadPool;
+use wmh_par::for_each_index;
 use wmh_sets::{generalized_jaccard, WeightedSet};
-
-/// A thread pool sized for an experiment sweep.
-///
-/// Thin wrapper around [`ThreadPool`] that adds the Figure 8 cell
-/// decomposition; reusable across sweeps (datasets prepare on the same
-/// pool the cells run on).
-#[derive(Debug)]
-pub struct ParallelSweep {
-    pool: ThreadPool,
-}
 
 /// Everything a cell needs about its dataset, computed once per dataset.
 struct DatasetCtx {
@@ -102,207 +92,189 @@ struct GroupState {
     quarantined: bool,
 }
 
-impl ParallelSweep {
-    /// A sweep over `threads` workers; `0` means auto-detect
-    /// ([`wmh_par::available_parallelism`]).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 { wmh_par::available_parallelism() } else { threads };
-        Self { pool: ThreadPool::new(threads) }
-    }
+/// Run the Figure 8 protocol cell-parallel on `threads` workers (the
+/// caller included). Results, checkpoint resume and budgets are
+/// independent of the thread count; see the module docs for the
+/// determinism argument.
+///
+/// # Errors
+/// [`RunnerError`] on invalid scales, dataset errors, or unusable
+/// checkpoint files. Algorithm failures do **not** abort the sweep: they
+/// become [`Measurement::Failed`] dash cells recording the error kind.
+/// When hard errors occur concurrently, the error of the first cell in
+/// `(dataset, algorithm, repeat)` order is reported, so the error, too, is
+/// schedule-independent.
+pub(crate) fn run_mse(
+    threads: usize,
+    scale: &Scale,
+    algorithms: &[Algorithm],
+    options: &RunOptions,
+) -> Result<Vec<MseCell>, RunnerError> {
+    let d_max = *scale.d_values.iter().max().ok_or(RunnerError::EmptyDGrid)?;
+    let ckpt = match &options.checkpoint {
+        Some(path) => Some(Checkpoint::open(path, "mse", scale, &algorithm_names(algorithms))?),
+        None => None,
+    };
 
-    /// Worker count (including the caller, which helps while waiting).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
+    let ctxs = prepare_datasets(threads, scale)?;
+    let n_groups = ctxs.len() * algorithms.len();
+    let group = |ds: usize, al: usize| ds * algorithms.len() + al;
 
-    /// Run the Figure 8 protocol cell-parallel. Results, checkpoint resume
-    /// and budgets are independent of the thread count; see the module
-    /// docs for the determinism argument.
-    ///
-    /// # Errors
-    /// [`RunnerError`] on invalid scales, dataset errors, or unusable
-    /// checkpoint files. Algorithm failures do **not** abort the sweep:
-    /// they become [`Measurement::Failed`] dash cells recording the error
-    /// kind. When hard errors occur concurrently, the error of the first
-    /// cell in `(dataset, algorithm, repeat)` order is reported, so the
-    /// error, too, is schedule-independent.
-    pub fn run_mse(
-        &self,
-        scale: &Scale,
-        algorithms: &[Algorithm],
-        options: &RunOptions,
-    ) -> Result<Vec<MseCell>, RunnerError> {
-        let d_max = *scale.d_values.iter().max().ok_or(RunnerError::EmptyDGrid)?;
-        let ckpt = match &options.checkpoint {
-            Some(path) => Some(Checkpoint::open(path, "mse", scale, &algorithm_names(algorithms))?),
-            None => None,
-        };
-
-        let ctxs = self.prepare_datasets(scale)?;
-        let n_groups = ctxs.len() * algorithms.len();
-        let group = |ds: usize, al: usize| ds * algorithms.len() + al;
-
-        // Resume: load finished repeats and timed-out groups before
-        // scheduling anything.
-        let mut groups: Vec<GroupState> = (0..n_groups)
-            .map(|_| GroupState {
-                reps: vec![None; scale.repeats],
-                timed_out: false,
-                failed: None,
-                quarantined: false,
-            })
-            .collect();
-        if let Some(c) = &ckpt {
-            for (ds, ctx) in ctxs.iter().enumerate() {
-                for (al, algorithm) in algorithms.iter().enumerate() {
-                    let state = &mut groups[group(ds, al)];
-                    state.timed_out = c.mse_timed_out(&ctx.name, algorithm.name());
-                    state.failed = c.mse_failed(&ctx.name, algorithm.name());
-                    state.quarantined = c.mse_quarantined(&ctx.name, algorithm.name()).is_some();
-                    if state.timed_out || state.failed.is_some() || state.quarantined {
-                        continue;
-                    }
-                    for (rep, slot) in state.reps.iter_mut().enumerate() {
-                        if let Some(per_d) = c.mse_rep(&ctx.name, algorithm.name(), rep) {
-                            if per_d.len() == scale.d_values.len() {
-                                *slot = Some(per_d.to_vec());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // The cells still to run, in deterministic (dataset, algorithm,
-        // repeat) order.
-        let cells: Vec<(usize, usize, usize)> = (0..ctxs.len())
-            .flat_map(|ds| {
-                (0..algorithms.len())
-                    .flat_map(move |al| (0..scale.repeats).map(move |rep| (ds, al, rep)))
-            })
-            .filter(|&(ds, al, rep)| {
-                let state = &groups[group(ds, al)];
-                !state.timed_out
-                    && state.failed.is_none()
-                    && !state.quarantined
-                    && state.reps[rep].is_none()
-            })
-            .collect();
-
-        // Per-group shared cell state: the wall-clock deadline (started by
-        // the group's first scheduled cell) and the fast-path timeout flag
-        // that lets sibling cells skip work once the group's fate is known.
-        let deadlines: Vec<OnceLock<Option<Instant>>> =
-            (0..n_groups).map(|_| OnceLock::new()).collect();
-        let timed_out_flags: Vec<AtomicBool> =
-            (0..n_groups).map(|_| AtomicBool::new(false)).collect();
-
-        let group_names: Vec<(String, String)> = ctxs
-            .iter()
-            .flat_map(|ctx| algorithms.iter().map(|a| (ctx.name.clone(), a.name().to_owned())))
-            .collect();
-        let (tx, rx) = mpsc::channel::<CellDone>();
-        let retry = options.retry;
-        let committer_out: Result<(Vec<GroupState>, Option<RunnerError>), _> =
-            std::thread::scope(|outer| {
-                let committer = outer
-                    .spawn(move || commit_loop(rx, ckpt, groups, group_names, retry, scale.seed));
-                self.pool.scope(|s| {
-                    for &(ds, al, rep) in &cells {
-                        let tx = tx.clone();
-                        let (ctx, algorithm) = (&ctxs[ds], algorithms[al]);
-                        let g = group(ds, al);
-                        let (deadline, flag) = (&deadlines[g], &timed_out_flags[g]);
-                        let retry = &options.retry;
-                        s.spawn(move || {
-                            let payload = run_cell(
-                                scale, algorithm, ctx, d_max, rep, retry, deadline, flag, g,
-                            );
-                            // The committer only disconnects after a
-                            // checkpoint write fails; the cell result is
-                            // then moot.
-                            let _ = tx.send(CellDone { group: g, rep, payload });
-                        });
-                    }
-                });
-                drop(tx);
-                committer.join()
-            });
-        let (groups, first_error) = match committer_out {
-            Ok(out) => out,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-
-        // Deterministic aggregation: schedule order never reaches this
-        // point — only the (group, rep)-indexed table does.
-        let mut out = Vec::with_capacity(n_groups * scale.d_values.len());
+    // Resume: load finished repeats and timed-out groups before
+    // scheduling anything.
+    let mut groups: Vec<GroupState> = (0..n_groups)
+        .map(|_| GroupState {
+            reps: vec![None; scale.repeats],
+            timed_out: false,
+            failed: None,
+            quarantined: false,
+        })
+        .collect();
+    if let Some(c) = &ckpt {
         for (ds, ctx) in ctxs.iter().enumerate() {
             for (al, algorithm) in algorithms.iter().enumerate() {
-                let state = &groups[group(ds, al)];
-                for (di, &d) in scale.d_values.iter().enumerate() {
-                    let cell = if state.timed_out {
-                        MseCell {
-                            dataset: ctx.name.clone(),
-                            algorithm: algorithm.name().to_owned(),
-                            d,
-                            mse: Measurement::TimedOut,
-                            mse_std: 0.0,
+                let state = &mut groups[group(ds, al)];
+                state.timed_out = c.mse_timed_out(&ctx.name, algorithm.name());
+                state.failed = c.mse_failed(&ctx.name, algorithm.name());
+                state.quarantined = c.mse_quarantined(&ctx.name, algorithm.name()).is_some();
+                if state.timed_out || state.failed.is_some() || state.quarantined {
+                    continue;
+                }
+                for (rep, slot) in state.reps.iter_mut().enumerate() {
+                    if let Some(per_d) = c.mse_rep(&ctx.name, algorithm.name(), rep) {
+                        if per_d.len() == scale.d_values.len() {
+                            *slot = Some(per_d.to_vec());
                         }
-                    } else if let Some(kind) = state.failed {
-                        MseCell {
-                            dataset: ctx.name.clone(),
-                            algorithm: algorithm.name().to_owned(),
-                            d,
-                            mse: Measurement::Failed(kind),
-                            mse_std: 0.0,
-                        }
-                    } else if state.quarantined {
-                        MseCell {
-                            dataset: ctx.name.clone(),
-                            algorithm: algorithm.name().to_owned(),
-                            d,
-                            mse: Measurement::Failed(wmh_core::ErrorKind::TransientIo),
-                            mse_std: 0.0,
-                        }
-                    } else {
-                        let per_rep: Vec<f64> = state
-                            .reps
-                            .iter()
-                            .map(|r| r.as_ref().expect("all repeats measured")[di])
-                            .collect();
-                        let (mean, var) = wmh_rng::stats::mean_and_var(&per_rep);
-                        MseCell {
-                            dataset: ctx.name.clone(),
-                            algorithm: algorithm.name().to_owned(),
-                            d,
-                            mse: Measurement::Value(mean),
-                            mse_std: var.sqrt(),
-                        }
-                    };
-                    out.push(cell);
+                    }
                 }
             }
         }
-        out.sort_by(|a, b| (&a.dataset, &a.algorithm, a.d).cmp(&(&b.dataset, &b.algorithm, b.d)));
-        Ok(out)
     }
 
-    /// Generate and preprocess every dataset, one pool task per dataset.
-    fn prepare_datasets(&self, scale: &Scale) -> Result<Vec<DatasetCtx>, RunnerError> {
-        let mut slots: Vec<Option<Result<DatasetCtx, RunnerError>>> =
-            (0..scale.datasets.len()).map(|_| None).collect();
-        self.pool.scope(|s| {
-            for (slot, cfg) in slots.iter_mut().zip(&scale.datasets) {
-                s.spawn(move || *slot = Some(prepare_dataset(scale, cfg)));
-            }
+    // The cells still to run, in deterministic (dataset, algorithm,
+    // repeat) order.
+    let cells: Vec<(usize, usize, usize)> = (0..ctxs.len())
+        .flat_map(|ds| {
+            (0..algorithms.len())
+                .flat_map(move |al| (0..scale.repeats).map(move |rep| (ds, al, rep)))
+        })
+        .filter(|&(ds, al, rep)| {
+            let state = &groups[group(ds, al)];
+            !state.timed_out
+                && state.failed.is_none()
+                && !state.quarantined
+                && state.reps[rep].is_none()
+        })
+        .collect();
+
+    // Per-group shared cell state: the wall-clock deadline (started by
+    // the group's first scheduled cell) and the fast-path timeout flag
+    // that lets sibling cells skip work once the group's fate is known.
+    let deadlines: Vec<OnceLock<Option<Instant>>> =
+        (0..n_groups).map(|_| OnceLock::new()).collect();
+    let timed_out_flags: Vec<AtomicBool> = (0..n_groups).map(|_| AtomicBool::new(false)).collect();
+
+    let group_names: Vec<(String, String)> = ctxs
+        .iter()
+        .flat_map(|ctx| algorithms.iter().map(|a| (ctx.name.clone(), a.name().to_owned())))
+        .collect();
+    let (tx, rx) = mpsc::channel::<CellDone>();
+    let retry = options.retry;
+    let committer_out: Result<(Vec<GroupState>, Option<RunnerError>), _> =
+        std::thread::scope(|outer| {
+            let committer =
+                outer.spawn(move || commit_loop(rx, ckpt, groups, group_names, retry, scale.seed));
+            for_each_index(threads, cells.len(), |i| {
+                let (ds, al, rep) = cells[i];
+                let g = group(ds, al);
+                let payload = run_cell(
+                    scale,
+                    algorithms[al],
+                    &ctxs[ds],
+                    d_max,
+                    rep,
+                    &options.retry,
+                    &deadlines[g],
+                    &timed_out_flags[g],
+                    g,
+                );
+                // The committer only disconnects after a checkpoint write
+                // fails; the cell result is then moot.
+                let _ = tx.send(CellDone { group: g, rep, payload });
+            });
+            drop(tx);
+            committer.join()
         });
-        slots.into_iter().map(|r| r.expect("every dataset task ran")).collect()
+    let (groups, first_error) = match committer_out {
+        Ok(out) => out,
+        Err(panic) => std::panic::resume_unwind(panic),
+    };
+    if let Some(e) = first_error {
+        return Err(e);
     }
+
+    // Deterministic aggregation: schedule order never reaches this
+    // point — only the (group, rep)-indexed table does.
+    let mut out = Vec::with_capacity(n_groups * scale.d_values.len());
+    for (ds, ctx) in ctxs.iter().enumerate() {
+        for (al, algorithm) in algorithms.iter().enumerate() {
+            let state = &groups[group(ds, al)];
+            for (di, &d) in scale.d_values.iter().enumerate() {
+                let cell = if state.timed_out {
+                    MseCell {
+                        dataset: ctx.name.clone(),
+                        algorithm: algorithm.name().to_owned(),
+                        d,
+                        mse: Measurement::TimedOut,
+                        mse_std: 0.0,
+                    }
+                } else if let Some(kind) = state.failed {
+                    MseCell {
+                        dataset: ctx.name.clone(),
+                        algorithm: algorithm.name().to_owned(),
+                        d,
+                        mse: Measurement::Failed(kind),
+                        mse_std: 0.0,
+                    }
+                } else if state.quarantined {
+                    MseCell {
+                        dataset: ctx.name.clone(),
+                        algorithm: algorithm.name().to_owned(),
+                        d,
+                        mse: Measurement::Failed(wmh_core::ErrorKind::TransientIo),
+                        mse_std: 0.0,
+                    }
+                } else {
+                    let per_rep: Vec<f64> = state
+                        .reps
+                        .iter()
+                        .map(|r| r.as_ref().expect("all repeats measured")[di])
+                        .collect();
+                    let (mean, var) = wmh_rng::stats::mean_and_var(&per_rep);
+                    MseCell {
+                        dataset: ctx.name.clone(),
+                        algorithm: algorithm.name().to_owned(),
+                        d,
+                        mse: Measurement::Value(mean),
+                        mse_std: var.sqrt(),
+                    }
+                };
+                out.push(cell);
+            }
+        }
+    }
+    out.sort_by(|a, b| (&a.dataset, &a.algorithm, a.d).cmp(&(&b.dataset, &b.algorithm, b.d)));
+    Ok(out)
+}
+
+/// Generate and preprocess every dataset, one parallel index per dataset.
+fn prepare_datasets(threads: usize, scale: &Scale) -> Result<Vec<DatasetCtx>, RunnerError> {
+    let slots: Vec<OnceLock<Result<DatasetCtx, RunnerError>>> =
+        scale.datasets.iter().map(|_| OnceLock::new()).collect();
+    for_each_index(threads, slots.len(), |i| {
+        let _ = slots[i].set(prepare_dataset(scale, &scale.datasets[i]));
+    });
+    slots.into_iter().map(|r| r.into_inner().expect("every dataset task ran")).collect()
 }
 
 fn prepare_dataset(scale: &Scale, cfg: &SynConfig) -> Result<DatasetCtx, RunnerError> {

@@ -127,38 +127,14 @@ fn fig9_filtered(
     opts: &BenchOptions,
     keep: &dyn Fn(&str) -> bool,
 ) -> Vec<BenchResult> {
-    let d = profile.num_hashes();
     let mut out = Vec::new();
-    for cfg in profile.dataset_configs() {
-        let ids: Vec<String> = Algorithm::ALL
-            .iter()
-            .map(|a| format!("fig9/{}/{}/D{d}", cfg.name(), a.name()))
-            .collect();
-        if !ids.iter().any(|id| keep(id)) {
-            continue; // skip dataset generation when nothing here is wanted
-        }
-        let docs = generate_docs(&cfg);
-        let config = build_config(profile, &docs);
-        for (algorithm, id) in Algorithm::ALL.iter().zip(ids) {
-            if !keep(&id) {
-                continue;
-            }
-            let sketcher = algorithm
-                .build(BENCH_SEED, d, &config)
-                .expect("every catalog algorithm builds under the benchmark config");
-            let mut scratch = SketchScratch::new();
-            let mut batch = CodeBatch::new();
-            let result = bench(&id, "fig9", opts, || {
-                sketcher
-                    .sketch_batch_into(black_box(&docs), &mut batch, &mut scratch)
-                    .expect("benchmark documents sketch cleanly");
-                black_box(batch.as_flat());
-            });
-            progress(&result);
-            out.push(result);
-        }
+    let configs = profile.dataset_configs();
+    for cfg in &configs {
+        fig9_dataset(profile, cfg, profile.num_hashes(), opts, keep, &mut out);
     }
-    out.extend(head_to_head_filtered(profile, opts, keep));
+    if let Some(cfg) = configs.first() {
+        fig9_dataset(profile, cfg, HEAD_TO_HEAD_D, opts, keep, &mut out);
+    }
     out
 }
 
@@ -170,22 +146,22 @@ fn fig9_filtered(
 /// ordering lives in `schemas.rs::checked_in_head_to_head_ordering_holds_at_d128`).
 pub const HEAD_TO_HEAD_D: usize = 128;
 
-fn head_to_head_filtered(
+/// One `fig9/<dataset>/<algorithm>/D<d>` bench per catalog algorithm on
+/// `cfg`'s documents; the dataset is only generated if `keep` wants one.
+fn fig9_dataset(
     profile: Profile,
+    cfg: &SynConfig,
+    d: usize,
     opts: &BenchOptions,
     keep: &dyn Fn(&str) -> bool,
-) -> Vec<BenchResult> {
-    let d = HEAD_TO_HEAD_D;
-    let mut out = Vec::new();
-    let Some(cfg) = profile.dataset_configs().into_iter().next() else {
-        return out;
-    };
+    out: &mut Vec<BenchResult>,
+) {
     let ids: Vec<String> =
         Algorithm::ALL.iter().map(|a| format!("fig9/{}/{}/D{d}", cfg.name(), a.name())).collect();
     if !ids.iter().any(|id| keep(id)) {
-        return out;
+        return; // skip dataset generation when nothing here is wanted
     }
-    let docs = generate_docs(&cfg);
+    let docs = generate_docs(cfg);
     let config = build_config(profile, &docs);
     for (algorithm, id) in Algorithm::ALL.iter().zip(ids) {
         if !keep(&id) {
@@ -205,7 +181,6 @@ fn head_to_head_filtered(
         progress(&result);
         out.push(result);
     }
-    out
 }
 
 /// The hashing kernels every sketcher is built on: one bench per arity,
