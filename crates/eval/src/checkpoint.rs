@@ -16,9 +16,14 @@
 //! ```
 //!
 //! The first line pins the experiment kind, the algorithm list, and the
-//! full [`Scale`] (master seed included). On open, a file whose meta line
-//! does not match the current configuration is discarded and restarted —
-//! results measured under different parameters must never be mixed.
+//! full [`Scale`] (master seed included). A `runtime` checkpoint also pins
+//! the build — the CRC-32C of the running executable — because a timing
+//! describes the code that measured it: after a rebuild, Figure 9 must
+//! re-measure rather than re-emit the old binary's seconds. (MSE values
+//! are a pure function of the seeds, so MSE checkpoints pin no build.) On
+//! open, a file whose meta line does not match the current configuration
+//! is discarded and restarted — results measured under different
+//! parameters must never be mixed.
 //!
 //! The reader tolerates a *torn tail*: a final line cut short by a crash
 //! (or any line without its trailing newline) is dropped, the file is
@@ -30,6 +35,7 @@ use crate::runner::{Measurement, RunnerError, Scale};
 use std::collections::{HashMap, HashSet};
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
+use std::sync::OnceLock;
 use wmh_json::{FromJson, Json, JsonError, ToJson};
 
 /// One checkpointed unit of completed work.
@@ -172,14 +178,27 @@ impl FromJson for Entry {
     }
 }
 
-fn meta_line(experiment: &str, scale: &Scale, algorithms: &[String]) -> String {
-    let meta = Json::Obj(vec![
+fn meta_line(experiment: &str, scale: &Scale, algorithms: &[String], build: Option<u32>) -> String {
+    let mut meta = vec![
         ("kind".to_owned(), Json::Str("meta".to_owned())),
         ("experiment".to_owned(), Json::Str(experiment.to_owned())),
         ("algorithms".to_owned(), algorithms.to_json()),
         ("scale".to_owned(), scale.to_json()),
-    ]);
-    wmh_json::to_string(&meta)
+    ];
+    if let Some(build) = build {
+        meta.push(("build".to_owned(), Json::Str(format!("{build:08x}"))));
+    }
+    wmh_json::to_string(&Json::Obj(meta))
+}
+
+/// CRC-32C of the running executable, computed once per process; `None`
+/// when the executable cannot be read.
+fn build_stamp() -> Option<u32> {
+    static STAMP: OnceLock<Option<u32>> = OnceLock::new();
+    *STAMP.get_or_init(|| {
+        let exe = std::fs::read(std::env::current_exe().ok()?).ok()?;
+        Some(wmh_hash::crc32c::crc32c(&exe))
+    })
 }
 
 /// An open checkpoint: the already-completed units plus an append handle.
@@ -206,8 +225,11 @@ impl Checkpoint {
     /// configuration. Parent directories are created as needed.
     ///
     /// An existing file is resumed only when its meta line matches
-    /// `(experiment, algorithms, scale)` exactly; otherwise it is reset —
-    /// a checkpoint from different parameters would poison the results.
+    /// `(experiment, algorithms, scale)` exactly — and, for `runtime`, the
+    /// running executable's build stamp; otherwise it is reset — a
+    /// checkpoint from different parameters would poison the results. A
+    /// `runtime` checkpoint never resumes when the executable cannot be
+    /// read to stamp it.
     /// A torn final line is discarded and the file truncated back to the
     /// last complete record.
     ///
@@ -223,7 +245,9 @@ impl Checkpoint {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir).map_err(io)?;
         }
-        let expected_meta = meta_line(experiment, scale, algorithms);
+        let build = (experiment == "runtime").then(build_stamp);
+        let expected_meta = meta_line(experiment, scale, algorithms, build.flatten());
+        let resumable = build != Some(None);
         let existing = match std::fs::read(path) {
             Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
@@ -241,8 +265,9 @@ impl Checkpoint {
             let line_end = pos + nl + 1;
             if pos == 0 {
                 // Meta line: must re-render to exactly the expected meta.
-                let ok = wmh_json::from_str::<Json>(line)
-                    .is_ok_and(|v| wmh_json::to_string(&v) == expected_meta);
+                let ok = resumable
+                    && wmh_json::from_str::<Json>(line)
+                        .is_ok_and(|v| wmh_json::to_string(&v) == expected_meta);
                 if !ok {
                     break;
                 }
@@ -499,6 +524,29 @@ mod tests {
         let c = Checkpoint::open(&path, "mse", &other, &algos).expect("open stale");
         assert_eq!(c.resumed_units(), 0);
         assert!(!c.mse_timed_out("ds", "ICWS"));
+    }
+
+    #[test]
+    fn runtime_checkpoint_from_another_build_is_remeasured() {
+        let path = temp_path("runtime_foreign.jsonl");
+        let scale = small_scale();
+        let algos = vec!["ICWS".to_owned()];
+        let timing = Entry::Runtime {
+            dataset: "ds".into(),
+            algorithm: "ICWS".into(),
+            d: 10,
+            seconds: Measurement::Value(1.5),
+        };
+        let stamp = build_stamp().expect("the test binary is readable");
+        // The own build resumes (the control); a foreign build does not.
+        for (build, resumed) in [(stamp, true), (stamp ^ 1, false)] {
+            let meta = meta_line("runtime", &scale, &algos, Some(build));
+            std::fs::write(&path, format!("{meta}\n{}\n", wmh_json::to_string(&timing)))
+                .expect("write");
+            let c = Checkpoint::open(&path, "runtime", &scale, &algos).expect("open");
+            assert_eq!(c.resumed_units(), usize::from(resumed), "build {build:08x}");
+            assert_eq!(c.runtime_seconds("ds", "ICWS", 10).is_some(), resumed);
+        }
     }
 
     #[test]

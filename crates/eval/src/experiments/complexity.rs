@@ -102,8 +102,16 @@ mod tests {
     fn closed_form_family_scales_linearly_in_n() {
         // O(·nD): doubling n should ≈ double time; allow generous noise —
         // the growth factor (time-ratio / n-ratio) should sit near 1.
+        // Best-of-5 per point, as in the C-scaling test below: one study's
+        // single timed pass reads 0.26 or 2.03 when the suite runs under
+        // parallel load, and the minimum is robust against that.
         let algos = [Algorithm::Icws, Algorithm::Pcws, Algorithm::Chum2008];
-        let points = scaling_study(&algos, &[100, 800], 32, 8, 1);
+        let mut points = scaling_study(&algos, &[100, 800], 32, 8, 1);
+        for _ in 1..5 {
+            for (best, p) in points.iter_mut().zip(scaling_study(&algos, &[100, 800], 32, 8, 1)) {
+                best.seconds = best.seconds.min(p.seconds);
+            }
+        }
         for algo in algos {
             let g = growth_factor(&points, algo.name());
             assert!((0.5..2.0).contains(&g), "{}: growth factor {g} not ~linear", algo.name());

@@ -1,5 +1,10 @@
 //! A minimal blocking client for the framed JSON protocol — what the
-//! smoke test, the load generator's TCP mode, and operators' scripts use.
+//! `wmh-serve` smoke and mutation-soak verbs, the benchmark's `serve_read`
+//! workload, and operators' scripts use.
+//!
+//! Each call is one request frame and one response frame on a stream with
+//! `TCP_NODELAY` set, so a round trip costs the server's work plus
+//! loopback latency, never a Nagle/delayed-ACK stall.
 
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -38,12 +43,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to a server address.
+    /// Connect to a server address and set `TCP_NODELAY` on the stream.
     ///
     /// # Errors
-    /// [`ClientError::Connect`] when the TCP connect fails.
+    /// [`ClientError::Connect`] when the TCP connect or setting
+    /// `TCP_NODELAY` fails.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr).map_err(|e| ClientError::Connect(e.to_string()))?;
+        let connect = |e: std::io::Error| ClientError::Connect(e.to_string());
+        let stream = TcpStream::connect(addr).map_err(connect)?;
+        stream.set_nodelay(true).map_err(connect)?;
         Ok(Self { stream })
     }
 

@@ -7,6 +7,10 @@
 //! `bad_request` response; broken *framing* (a peer that cannot even
 //! speak length prefixes) closes the connection — there is no frame
 //! boundary left to answer on.
+//!
+//! Every accepted stream gets `TCP_NODELAY` before its first read (a
+//! stream that refuses it is closed), and every response is one frame in
+//! one write (see [`crate::wire`]), so no reply waits on a delayed ACK.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -107,6 +111,9 @@ impl Drop for Server {
 /// Serve one connection: a sequence of framed requests, each answered in
 /// order on the same stream.
 fn handle_connection(service: &Service, mut stream: TcpStream) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     loop {
         let body = match wire::read_frame(&mut stream) {
             Ok(Some(body)) => body,

@@ -175,3 +175,41 @@ fn concurrent_clients_all_get_typed_ok() {
     });
     assert_eq!(service.health().inflight, 0, "in-flight gauge must drain to zero");
 }
+
+/// Round trips over loopback must cost the server's work, not a
+/// Nagle/delayed-ACK stall: a frame whose prefix and body leave in two
+/// writes, or a stream without `TCP_NODELAY`, waits ~40 ms on the peer's
+/// delayed ACK every round trip. The 20 ms bound sits far below that floor
+/// and far above an idle host's real cost (a few ms per query), so it
+/// needs no finer timing than a median.
+#[test]
+fn loopback_round_trips_stay_below_the_delayed_ack_floor() {
+    let docs = corpus(24);
+    let service = Arc::new(Service::from_store(&store_for(&docs), config(2)).expect("service"));
+    let server = Server::spawn(Arc::clone(&service), "127.0.0.1:0").expect("server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let median_ms = |mut samples: Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+
+    let health: Vec<f64> = (0..20)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            assert!(client.health().expect("health").ready);
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let queries: Vec<f64> = (0..20u64)
+        .map(|i| {
+            let start = std::time::Instant::now();
+            let response = client.query(&query(&docs[i as usize], i)).expect("query");
+            assert_eq!(response.outcome, Outcome::Ok, "{response:?}");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+
+    let (health_ms, query_ms) = (median_ms(health), median_ms(queries));
+    assert!(health_ms < 20.0, "health round-trip median {health_ms:.2} ms");
+    assert!(query_ms < 20.0, "query round-trip median {query_ms:.2} ms");
+}
