@@ -6,8 +6,10 @@
 //! the exponent parameter e and the scale parameter s"*, named `SynEeSs`
 //! (e.g. `Syn3E0.2S`). This crate provides:
 //!
-//! * [`synthetic`] — the `SynESS` generator and the six Table 4
-//!   configurations ([`synthetic::PAPER_DATASETS`]);
+//! * [`synthetic`] — the `SynESS` generator, the six Table 4
+//!   configurations ([`synthetic::PAPER_DATASETS`]), and near-duplicate
+//!   clusters of their documents for similarity search
+//!   ([`SynConfig::generate_clusters`]);
 //! * [`stats`] — the Table 4 summary columns (docs, features, average
 //!   density, average mean / std of per-element nonzero weights);
 //! * [`pairs`] — pair sampling for the MSE experiments and

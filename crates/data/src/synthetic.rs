@@ -105,6 +105,54 @@ impl SynConfig {
         }
         Ok(Dataset { name: self.name(), config: *self, docs })
     }
+
+    /// Generate `docs` documents as near-duplicate clusters, so that a
+    /// similarity search over them has neighbours to rank (two plain
+    /// documents of a paper dataset share ~2.5 features and sit at
+    /// generalized Jaccard ≈ 0.02).
+    ///
+    /// `⌈docs / variants⌉` bases are drawn from this configuration, and
+    /// document `i` is variant `i % variants` of base `i / variants`. A
+    /// variant scales every base weight by `exp(u)`, `u ~ U(−0.2, 0.2)`,
+    /// drops each base element with probability 0.05, and adds
+    /// `round(0.05 · len)` fresh elements with weights from the same power
+    /// law. Variants of one base sit at similarity ≈ 0.65.
+    ///
+    /// # Errors
+    /// Propagates [`Self::validate`] failures; `variants` must be positive.
+    pub fn generate_clusters(&self, variants: usize, seed: u64) -> Result<Dataset, String> {
+        if variants == 0 {
+            return Err("variants must be positive".into());
+        }
+        let bases = Self { docs: self.docs.div_ceil(variants), ..*self }.generate(seed)?.docs;
+        let docs = (0..self.docs)
+            .map(|i| self.variant(&bases[i / variants], seed, i as u64))
+            .collect::<Result<_, _>>()?;
+        Ok(Dataset { name: format!("{}-clusters{variants}", self.name()), config: *self, docs })
+    }
+
+    /// Variant number `i` of `base` (see [`Self::generate_clusters`]).
+    fn variant(&self, base: &WeightedSet, seed: u64, i: u64) -> Result<WeightedSet, String> {
+        const JITTER: f64 = 0.2;
+        const CHURN: f64 = 0.05;
+        let mut rng = Xoshiro256pp::new(seed ^ 0xC1B5_7E25 ^ (i + 1).wrapping_mul(0x9E37_79B9));
+        let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(base.len() + base.len() / 16 + 1);
+        for (k, w) in base.iter() {
+            if rng.next_f64() >= CHURN {
+                pairs.push((k, w * (JITTER * (2.0 * rng.next_f64() - 1.0)).exp()));
+            }
+        }
+        let free = self.features - base.len() as u64;
+        let added = (CHURN * base.len() as f64).round() as u64;
+        let fresh_start = pairs.len();
+        while ((pairs.len() - fresh_start) as u64) < added.min(free) {
+            let k = rng.next_below(self.features);
+            if !base.contains(k) && !pairs[fresh_start..].iter().any(|&(e, _)| e == k) {
+                pairs.push((k, pareto_from_unit(rng.next_f64(), self.exponent, self.scale)));
+            }
+        }
+        WeightedSet::from_pairs(pairs).map_err(|e| format!("variant {i}: {e}"))
+    }
 }
 
 /// The six datasets of Table 4: `e = 3`, `s ∈ {0.2, 0.22, …, 0.3}`.
@@ -252,6 +300,27 @@ mod tests {
         assert_eq!(small.scale, full.scale);
         assert_eq!(small.docs, 20);
         small.validate().unwrap();
+    }
+
+    #[test]
+    fn clusters_have_near_neighbours_and_stay_apart() {
+        let cfg = PAPER_DATASETS[2].scaled_down_preserving_overlap(60, 20_000);
+        let ds = cfg.generate_clusters(8, 7).unwrap();
+        assert_eq!(ds.len(), 60, "a partial last cluster still fills the count");
+        assert_eq!(ds.name, "Syn3E0.24S-clusters8");
+        assert_eq!(ds.docs, cfg.generate_clusters(8, 7).unwrap().docs);
+        assert_ne!(ds.docs, cfg.generate_clusters(8, 8).unwrap().docs);
+        for (i, doc) in ds.docs.iter().enumerate() {
+            for (j, other) in ds.docs.iter().enumerate().filter(|&(j, _)| j != i) {
+                let sim = wmh_sets::generalized_jaccard(doc, other);
+                if i / 8 == j / 8 {
+                    assert!(sim > 0.5, "docs {i} and {j} share a base but sit at {sim}");
+                } else {
+                    assert!(sim < 0.2, "docs {i} and {j} are in different clusters at {sim}");
+                }
+            }
+        }
+        assert!(cfg.generate_clusters(0, 7).is_err());
     }
 
     #[test]

@@ -75,7 +75,8 @@ pub mod supervisor;
 
 pub use registry::{fired, hits, Fault};
 pub use scenario::{
-    clear, configure, inert, init_from_env, scenario, Activation, ScenarioError, ScenarioGuard,
+    clear, configure, inert, init_from_env, scenario, seed_from_env, Activation, ScenarioError,
+    ScenarioGuard,
 };
 
 /// Hit the named failpoint; `tag` scopes the hit for `@tag` filters.

@@ -241,18 +241,32 @@ fn activate(faults: Option<&str>, seed_text: Option<&str>) -> Result<Activation,
     if !cfg!(feature = "failpoints") {
         return Ok(Activation::CompiledOut);
     }
-    let seed = match seed_text.map(str::trim).filter(|s| !s.is_empty()) {
-        None => 0,
-        Some(text) => {
-            let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => text.parse(),
-            };
-            parsed.map_err(|_| ScenarioError::BadSeed { value: text.to_owned() })?
-        }
-    };
+    let seed = parse_seed(seed_text)?.unwrap_or(0);
     let specs = configure(faults, seed)?;
     Ok(Activation::Active { specs, seed })
+}
+
+/// Parse `WMH_FAULT_SEED` text: decimal or `0x`-hex, `None` when unset or
+/// blank.
+fn parse_seed(seed_text: Option<&str>) -> Result<Option<u64>, ScenarioError> {
+    let Some(text) = seed_text.map(str::trim).filter(|s| !s.is_empty()) else {
+        return Ok(None);
+    };
+    let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => text.parse(),
+    };
+    parsed.map(Some).map_err(|_| ScenarioError::BadSeed { value: text.to_owned() })
+}
+
+/// Read `WMH_FAULT_SEED` with the parser [`init_from_env`] uses: `None`
+/// when unset or blank. Soak tests that pin a seed call this, so a
+/// malformed value fails them instead of quietly running another seed.
+///
+/// # Errors
+/// [`ScenarioError::BadSeed`] if the variable is set but not a u64.
+pub fn seed_from_env() -> Result<Option<u64>, ScenarioError> {
+    parse_seed(std::env::var("WMH_FAULT_SEED").ok().as_deref())
 }
 
 /// Read `WMH_FAULTS` / `WMH_FAULT_SEED` and install the scenario they
@@ -327,6 +341,15 @@ mod tests {
     fn blank_env_is_inactive() {
         assert_eq!(activate(None, None), Ok(Activation::Inactive));
         assert_eq!(activate(Some("   "), None), Ok(Activation::Inactive));
+    }
+
+    #[test]
+    fn seed_text_parses_like_the_env_reader() {
+        assert_eq!(parse_seed(None), Ok(None));
+        assert_eq!(parse_seed(Some("  ")), Ok(None));
+        assert_eq!(parse_seed(Some("0xC1A05")), Ok(Some(0xC1A05)));
+        assert_eq!(parse_seed(Some("12")), Ok(Some(12)));
+        assert_eq!(parse_seed(Some("0xZZ")), Err(ScenarioError::BadSeed { value: "0xZZ".into() }));
     }
 
     #[test]

@@ -2,12 +2,8 @@
 //!
 //! ```text
 //! wmh-serve smoke [--quick]
-//! wmh-serve load  --out results/BENCH_serve_load.json [--requests N] [--concurrency C]
-//!                 [--docs N] [--shards S] [--k K] [--deadline-us U] [--seed X]
-//!                 [--write-every W]
 //! wmh-serve mutation-soak [--quick]
 //! wmh-serve recovery-bench --out results/BENCH_serve_recovery.json [--quick]
-//! wmh-serve check-report <path>
 //! wmh-serve wal-info <dir>
 //! wmh-serve snapshot --store sketches.bin --wal DIR
 //! wmh-serve serve --store sketches.bin [--addr 127.0.0.1:7878] [--wal DIR]
@@ -17,20 +13,13 @@
 //! * `smoke` — CI's end-to-end gate: a loopback server answering typed
 //!   outcomes for a healthy query, a forced deadline miss, a forced
 //!   overload, a bad request, and a mutation against a read-only service.
-//! * `load` — the closed-loop load generator over a Table-4 medium corpus
-//!   (`Syn3E0.24S`, scaled preserving pairwise overlap); writes the
-//!   `wmh-serve-load/v1` report the perf gate checks. `--write-every W`
-//!   mixes a mutation (insert → stream → delete cycle) into every Wth
-//!   request, served over a temporary write-ahead log.
 //! * `mutation-soak` — CI's live-mutation gate: drives the whole mutation
 //!   surface over the wire against a WAL-backed loopback server, then
 //!   proves kill-resume recovery and a live re-shard byte-identical to
 //!   from-scratch builds.
 //! * `recovery-bench` — measure reopen (recovery) time with and without a
 //!   snapshot at several write counts; writes the `wmh-serve-recovery/v1`
-//!   report the perf gate checks.
-//! * `check-report` — validate a report file's schema and arithmetic
-//!   invariants (outcome counts must sum to requests issued).
+//!   report the schema check validates.
 //! * `wal-info` — offline inspection of a WAL directory:
 //!   per-segment generations, record counts, torn bytes, and snapshot
 //!   inventory. Exits 2 — distinctly from usage errors — when any sealed
@@ -50,8 +39,8 @@ use std::sync::Arc;
 use wmh_core::{SketchStore, Sketcher};
 use wmh_data::PAPER_DATASETS;
 use wmh_serve::{
-    loadgen, snapshot, wal, Client, LoadConfig, LoadReport, MutationKind, MutationRequest, Outcome,
-    QueryRequest, Server, Service, ServiceConfig, RECOVERY_SCHEMA_VERSION,
+    snapshot, wal, Client, MutationKind, MutationRequest, Outcome, QueryRequest, Server, Service,
+    ServiceConfig, RECOVERY_SCHEMA_VERSION,
 };
 use wmh_sets::WeightedSet;
 
@@ -66,7 +55,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  wmh-serve smoke [--quick]\n  wmh-serve load --out FILE [--requests N] [--concurrency C] [--docs N]\n                 [--shards S] [--k K] [--deadline-us U] [--seed X] [--write-every W]\n  wmh-serve mutation-soak [--quick]\n  wmh-serve recovery-bench --out FILE [--quick]\n  wmh-serve check-report FILE\n  wmh-serve wal-info DIR\n  wmh-serve snapshot --store FILE --wal DIR\n  wmh-serve serve --store FILE [--addr 127.0.0.1:7878] [--wal DIR]\n                  [--snapshot-every N] [--scrub-every-secs S]"
+    "usage:\n  wmh-serve smoke [--quick]\n  wmh-serve mutation-soak [--quick]\n  wmh-serve recovery-bench --out FILE [--quick]\n  wmh-serve wal-info DIR\n  wmh-serve snapshot --store FILE --wal DIR\n  wmh-serve serve --store FILE [--addr 127.0.0.1:7878] [--wal DIR]\n                  [--snapshot-every N] [--scrub-every-secs S]"
         .to_owned()
 }
 
@@ -85,31 +74,12 @@ fn run() -> Result<ExitCode, String> {
     };
     match cmd.as_str() {
         "smoke" => smoke(args.iter().any(|a| a == "--quick")).map(|()| ExitCode::SUCCESS),
-        "load" => {
-            let out = flag("--out").ok_or_else(|| format!("missing --out\n{}", usage()))?;
-            load(
-                &out,
-                num("--requests", 2000)? as usize,
-                num("--concurrency", 4)? as usize,
-                num("--docs", 600)? as usize,
-                num("--shards", 4)? as usize,
-                num("--k", 10)? as usize,
-                num("--deadline-us", 20_000)?,
-                num("--seed", 42)?,
-                num("--write-every", 0)? as usize,
-            )
-            .map(|()| ExitCode::SUCCESS)
-        }
         "mutation-soak" => {
             mutation_soak(args.iter().any(|a| a == "--quick")).map(|()| ExitCode::SUCCESS)
         }
         "recovery-bench" => {
             let out = flag("--out").ok_or_else(|| format!("missing --out\n{}", usage()))?;
             recovery_bench(&out, args.iter().any(|a| a == "--quick")).map(|()| ExitCode::SUCCESS)
-        }
-        "check-report" => {
-            let path = args.get(1).ok_or_else(|| format!("missing FILE\n{}", usage()))?;
-            check_report(path).map(|()| ExitCode::SUCCESS)
         }
         "wal-info" => {
             let dir = args
@@ -138,12 +108,12 @@ fn run() -> Result<ExitCode, String> {
     }
 }
 
-/// The Table-4 medium corpus (`Syn3E0.24S`), scaled down preserving the
-/// expected pairwise overlap so similarity estimates stay in the paper's
-/// regime.
+/// Near-duplicate clusters of 8 variants over Table-4 medium
+/// (`Syn3E0.24S`) bases, scaled down preserving the expected pairwise
+/// overlap: every query has neighbours to rank, not only itself.
 fn corpus(docs: usize, seed: u64) -> Result<(String, Vec<WeightedSet>), String> {
     let config = PAPER_DATASETS[2].scaled_down_preserving_overlap(docs, 20_000);
-    let dataset = config.generate(seed)?;
+    let dataset = config.generate_clusters(8, seed)?;
     Ok((dataset.name, dataset.docs))
 }
 
@@ -258,62 +228,6 @@ fn scratch_dir(label: &str) -> Result<PathBuf, String> {
     let dir = std::env::temp_dir().join(format!("wmh-serve-{label}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     Ok(dir)
-}
-
-/// Run the closed-loop load generator and write the report. With a write
-/// mix, the service runs over a scratch write-ahead log so mutations take
-/// the real durable path.
-#[allow(clippy::too_many_arguments)]
-fn load(
-    out: &str,
-    requests: usize,
-    concurrency: usize,
-    docs_n: usize,
-    shards: usize,
-    k: usize,
-    deadline_us: u64,
-    seed: u64,
-    write_every: usize,
-) -> Result<(), String> {
-    let (name, docs) = corpus(docs_n, seed)?;
-    let store = build_store(&docs, seed)?;
-    let config = ServiceConfig { shards, seed, ..ServiceConfig::default() };
-    let scratch = if write_every > 0 { Some(scratch_dir("load")?) } else { None };
-    let service = match &scratch {
-        Some(dir) => Service::open(&store, &dir.join("load.wal"), config),
-        None => Service::from_store(&store, config),
-    }
-    .map_err(|e| format!("build: {e}"))?;
-    let query_docs: Vec<Vec<(u64, f64)>> = docs.iter().map(pairs_of).collect();
-    let load_config = LoadConfig { requests, concurrency, k, deadline_us, write_every };
-    let report = loadgen::run(&service, &name, &query_docs, &load_config);
-    drop(service);
-    if let Some(dir) = scratch {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    report.validate()?;
-    let mut text = wmh_json::to_string_pretty(&report);
-    text.push('\n');
-    std::fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "load: {} requests ({} writes) over {name} ({} docs, {} shards): {:.0} req/s, \
-         p50 {}us p99 {}us, ok {} partial {} deadline {} overloaded {} bad {} read-only {} \
-         — wrote {out}",
-        report.requests,
-        report.writes,
-        report.docs,
-        report.shards,
-        report.throughput_rps,
-        report.p50_us,
-        report.p99_us,
-        report.ok,
-        report.partial,
-        report.deadline_exceeded,
-        report.overloaded,
-        report.bad_request,
-        report.read_only,
-    );
-    Ok(())
 }
 
 /// Drive the whole mutation surface over the wire, then prove the two
@@ -527,16 +441,6 @@ fn recovery_bench(out: &str, quick: bool) -> Result<(), String> {
         );
     }
     println!("recovery-bench: {} rows over {name} — wrote {out}", report.rows.len());
-    Ok(())
-}
-
-/// Validate a load report file: schema shape plus arithmetic invariants.
-fn check_report(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let report: LoadReport =
-        wmh_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    report.validate().map_err(|e| format!("{path}: {e}"))?;
-    println!("check-report: {path}: valid {}", report.schema);
     Ok(())
 }
 

@@ -3,8 +3,8 @@
 //! The claims under test, with deterministic failpoint schedules:
 //!
 //! * **Every request terminates with a typed outcome**, faults or not —
-//!   the load generator's accounting invariant holds under injected shard
-//!   failures and admission rejections.
+//!   a closed request loop's per-outcome counts sum to the requests it
+//!   issued under injected shard failures and admission rejections.
 //! * **Quarantine is reversible and invisible afterwards**: once a faulty
 //!   shard recovers through half-open probes, responses are byte-identical
 //!   to a service that never failed.
@@ -17,64 +17,17 @@
 //! [`wmh_fault::configure`]/[`wmh_fault::clear`] without releasing the
 //! lock), so scenarios cannot leak across concurrently scheduled tests.
 
-use std::time::Duration;
+mod common;
 
-use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
-use wmh_fault::supervisor::RetryPolicy;
-use wmh_serve::{loadgen, LoadConfig, Outcome, QueryRequest, Service, ServiceConfig, ServiceError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use common::{corpus, fast_retry, query, seed, store_for};
+use wmh_serve::{Outcome, QueryRequest, Service, ServiceConfig, ServiceError};
 use wmh_sets::WeightedSet;
 
-/// The pinned CI seed, if any: `WMH_FAULT_SEED` as decimal or `0x`-hex,
-/// same syntax `wmh_fault::init_from_env` accepts.
-fn env_seed() -> Option<u64> {
-    let raw = std::env::var("WMH_FAULT_SEED").ok()?;
-    let raw = raw.trim();
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.ok()
-}
-
-fn seed() -> u64 {
-    env_seed().unwrap_or(0xC1A05)
-}
-
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
-
 fn config(shards: usize) -> ServiceConfig {
-    ServiceConfig {
-        shards,
-        default_deadline_us: 5_000_000,
-        probe_every: 4,
-        ..ServiceConfig::default()
-    }
-}
-
-/// Backoffs in microseconds, not milliseconds, so deliberately exhausted
-/// retry budgets do not dominate the soak's wall clock.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 8,
-        base_backoff: Duration::from_micros(50),
-        max_backoff: Duration::from_millis(2),
-    }
-}
-
-fn query(doc: &WeightedSet, id: u64) -> QueryRequest {
-    QueryRequest { id, doc: doc.iter().collect(), k: 10, deadline_us: Some(2_000_000) }
+    ServiceConfig { probe_every: 4, ..common::config(shards) }
 }
 
 /// Quarantine a shard with an always-failing schedule, recover it through
@@ -94,6 +47,7 @@ fn quarantine_and_recovery_is_byte_identical() {
             wmh_json::to_string(&response)
         })
         .collect();
+    common::assert_ranked(&baseline);
 
     // Shard 1 starts failing every probe it sees.
     wmh_fault::configure("serve::shard_query@1=always", seed()).expect("configure");
@@ -190,21 +144,91 @@ fn permanent_ingest_failure_is_a_typed_error() {
     }
 }
 
-/// The load generator's accounting under probabilistic chaos, then the
-/// fleet recovered and re-measured fault-free.
+/// What a closed-loop run saw. `issued` is counted apart from the
+/// per-outcome tally, so a request that ends untallied breaks the sum.
+#[derive(Debug, Default)]
+struct Tally {
+    issued: usize,
+    ok: usize,
+    partial: usize,
+    deadline_exceeded: usize,
+    overloaded: usize,
+    bad_request: usize,
+    read_only: usize,
+    shed: usize,
+    min_coverage: f64,
+}
+
+impl Tally {
+    fn tallied(&self) -> usize {
+        self.ok
+            + self.partial
+            + self.deadline_exceeded
+            + self.overloaded
+            + self.bad_request
+            + self.read_only
+    }
+}
+
+/// Issue `requests` top-10 queries over `docs` from 4 closed-loop workers
+/// sharing one request counter, and tally every response.
+fn closed_loop(
+    service: &Service,
+    docs: &[WeightedSet],
+    requests: usize,
+    deadline_us: u64,
+) -> Tally {
+    let next = AtomicUsize::new(0);
+    let issued = AtomicUsize::new(0);
+    let tally = Mutex::new(Tally { min_coverage: 1.0, ..Tally::default() });
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= requests {
+                    break;
+                }
+                issued.fetch_add(1, Ordering::Relaxed);
+                let response = service.query(&QueryRequest {
+                    deadline_us: Some(deadline_us),
+                    ..query(&docs[i % docs.len()], i as u64)
+                });
+                let mut t = tally.lock().expect("a tallying worker panicked");
+                match response.outcome {
+                    Outcome::Ok => t.ok += 1,
+                    Outcome::Partial => t.partial += 1,
+                    Outcome::DeadlineExceeded => t.deadline_exceeded += 1,
+                    Outcome::Overloaded => t.overloaded += 1,
+                    Outcome::BadRequest => t.bad_request += 1,
+                    Outcome::ReadOnly => t.read_only += 1,
+                }
+                if matches!(response.outcome, Outcome::Ok | Outcome::Partial) {
+                    t.min_coverage = t.min_coverage.min(response.coverage);
+                }
+                t.shed += response.shed;
+            });
+        }
+    });
+    let tally = tally.into_inner().expect("a tallying worker panicked");
+    Tally { issued: issued.into_inner(), ..tally }
+}
+
+/// Every request accounted under probabilistic chaos, then the fleet
+/// recovered and re-measured fault-free.
 #[test]
-fn loadgen_accounts_every_request_under_chaos() {
+fn closed_loop_accounts_every_request_under_chaos() {
     let _guard = wmh_fault::scenario("serve::shard_query=p0.2;serve::admission=p0.05", seed())
         .expect("scenario");
     let docs = corpus(64);
     let service = Service::from_store(&store_for(&docs), config(4)).expect("service");
-    let query_docs: Vec<Vec<(u64, f64)>> = docs.iter().map(|d| d.iter().collect()).collect();
 
-    let chaos_config =
-        LoadConfig { requests: 240, concurrency: 4, k: 10, deadline_us: 20_000, write_every: 0 };
-    let chaotic = loadgen::run(&service, "Syn3E0.24S-soak", &query_docs, &chaos_config);
-    chaotic.validate().expect("typed-outcome accounting must survive chaos");
-    assert_eq!(chaotic.requests, 240);
+    let chaotic = closed_loop(&service, &docs, 240, 20_000);
+    assert_eq!(chaotic.issued, 240, "{chaotic:?}");
+    assert_eq!(
+        chaotic.tallied(),
+        chaotic.issued,
+        "some request terminated without a typed outcome: {chaotic:?}"
+    );
 
     // Faults off; let probes repair whatever got quarantined.
     wmh_fault::clear();
@@ -218,11 +242,10 @@ fn loadgen_accounts_every_request_under_chaos() {
     }
     assert!(recovered, "quarantined shards never recovered after chaos");
 
-    let calm_config =
-        LoadConfig { requests: 160, concurrency: 4, k: 10, deadline_us: 2_000_000, write_every: 0 };
-    let calm = loadgen::run(&service, "Syn3E0.24S-soak", &query_docs, &calm_config);
-    calm.validate().expect("fault-free accounting");
-    assert_eq!(calm.ok, calm.requests, "recovered fleet must serve everything: {calm:?}");
+    let calm = closed_loop(&service, &docs, 160, 2_000_000);
+    assert_eq!(calm.issued, 160, "{calm:?}");
+    assert_eq!(calm.tallied(), calm.issued, "fault-free accounting: {calm:?}");
+    assert_eq!(calm.ok, calm.issued, "recovered fleet must serve everything: {calm:?}");
     assert_eq!(calm.min_coverage, 1.0, "{calm:?}");
-    assert_eq!(calm.shed_slices, 0, "{calm:?}");
+    assert_eq!(calm.shed, 0, "{calm:?}");
 }

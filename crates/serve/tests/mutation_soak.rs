@@ -24,111 +24,19 @@
 //! Every test holds a [`wmh_fault::scenario`] guard for its full duration,
 //! so schedules cannot leak across concurrently scheduled tests.
 
+mod common;
+
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::path::Path;
 
+use common::{corpus, fast_retry, probe, query, scratch, script, seed, store_for};
 use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
-use wmh_fault::supervisor::RetryPolicy;
 use wmh_serve::{
-    MutationKind, MutationRequest, Outcome, QueryRequest, Service, ServiceConfig, ServiceError,
-    Writes,
+    MutationKind, MutationRequest, Outcome, Service, ServiceConfig, ServiceError, Writes,
 };
-use wmh_sets::WeightedSet;
-
-fn env_seed() -> Option<u64> {
-    let raw = std::env::var("WMH_FAULT_SEED").ok()?;
-    let raw = raw.trim();
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.ok()
-}
-
-fn seed() -> u64 {
-    env_seed().unwrap_or(0xC1A05)
-}
-
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
-
-/// Backoffs in microseconds so deliberately exhausted retry budgets do not
-/// dominate the soak's wall clock.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 8,
-        base_backoff: Duration::from_micros(50),
-        max_backoff: Duration::from_millis(2),
-    }
-}
 
 fn config(shards: usize) -> ServiceConfig {
-    ServiceConfig {
-        shards,
-        default_deadline_us: 5_000_000,
-        retry: fast_retry(),
-        ..ServiceConfig::default()
-    }
-}
-
-/// A per-test scratch directory under the target-adjacent temp root.
-fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wmh-mutation-soak-{label}-{}-{:x}",
-        std::process::id(),
-        seed()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-fn query(doc: &WeightedSet, id: u64) -> QueryRequest {
-    QueryRequest { id, doc: doc.iter().collect(), k: 10, deadline_us: Some(5_000_000) }
-}
-
-/// Probe responses as rendered wire JSON — the byte-identity currency.
-fn probe(service: &Service, docs: &[WeightedSet]) -> Vec<String> {
-    docs.iter()
-        .enumerate()
-        .map(|(i, doc)| wmh_json::to_string(&service.query(&query(doc, i as u64))))
-        .collect()
-}
-
-/// The soak's mutation mix: inserts of fresh ids, streaming creates and
-/// drifts, deletes chasing earlier inserts — deterministic given `n`.
-fn script(docs: &[WeightedSet], n: usize) -> Vec<MutationRequest> {
-    let base = 1_000_000u64;
-    (0..n)
-        .map(|i| {
-            let doc: Vec<(u64, f64)> = docs[i % docs.len()].iter().collect();
-            let (id, kind) = match i % 4 {
-                0 => (base + i as u64, MutationKind::Insert { doc }),
-                1 => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.5, items: doc },
-                ),
-                2 => (base + (i - 2) as u64, MutationKind::Delete),
-                _ => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.9, items: doc },
-                ),
-            };
-            MutationRequest { id, kind, deadline_us: Some(5_000_000) }
-        })
-        .collect()
+    ServiceConfig { retry: fast_retry(), ..common::config(shards) }
 }
 
 /// Drive `script` through the service and return the requests it
@@ -180,9 +88,11 @@ fn kill_resume_is_byte_identical(label: &str, schedule: &str, shards: usize) {
         let response = reference.mutate(request);
         assert_eq!(response.outcome, Outcome::Ok, "reference apply degraded: {response:?}");
     }
+    let expected = probe(&reference, &docs);
+    common::assert_ranked(&expected);
     assert_eq!(
         probe(&recovered, &docs),
-        probe(&reference, &docs),
+        expected,
         "kill-resume replay not byte-identical ({label}, {shards} shards)"
     );
     let _ = std::fs::remove_dir_all(dir);
@@ -242,7 +152,9 @@ fn exhausted_append_flips_read_only_and_commits_nothing() {
     let report = reopened.wal_recovery().expect("writable service");
     assert_eq!(report.records, 0, "nothing unacknowledged may replay: {report:?}");
     let pristine = Service::open(&store, &dir.join("pristine.wal"), config(2)).expect("pristine");
-    assert_eq!(probe(&reopened, &docs), probe(&pristine, &docs));
+    let expected = probe(&pristine, &docs);
+    common::assert_ranked(&expected);
+    assert_eq!(probe(&reopened, &docs), expected);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -260,6 +172,7 @@ fn torn_tail_is_discarded_not_misread() {
     let acked = run_script(&service, &script(&docs, 12));
     assert_eq!(acked.len(), 12, "fault-free script must fully ack");
     let reference = probe(&service, &docs);
+    common::assert_ranked(&reference);
     drop(service);
 
     // A crash mid-append leaves a length prefix promising more bytes than
@@ -308,7 +221,9 @@ fn apply_exhaustion_self_heals_byte_identically() {
     for request in &mutations {
         assert_eq!(reference.mutate(request).outcome, Outcome::Ok);
     }
-    assert_eq!(probe(&service, &docs), probe(&reference, &docs));
+    let expected = probe(&reference, &docs);
+    common::assert_ranked(&expected);
+    assert_eq!(probe(&service, &docs), expected);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -341,11 +256,9 @@ fn reshard_under_faults_is_byte_identical_to_from_scratch() {
 
     wmh_fault::clear();
     let fresh = Service::open(&store, &wal, config(8)).expect("from-scratch at 8 shards");
-    assert_eq!(
-        probe(&service, &docs),
-        probe(&fresh, &docs),
-        "re-shard diverged from a from-scratch partition"
-    );
+    let expected = probe(&fresh, &docs);
+    common::assert_ranked(&expected);
+    assert_eq!(probe(&service, &docs), expected, "re-shard diverged from a from-scratch partition");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -400,6 +313,7 @@ fn failed_reshard_leaves_the_old_fleet_serving() {
     let service = Service::open(&store, &dir.join("soak.wal"), config(2)).expect("open");
     run_script(&service, &script(&docs, 8));
     let before = probe(&service, &docs);
+    common::assert_ranked(&before);
 
     match service.reshard_blocking(4) {
         Err(ServiceError::Ingest { shard, attempts, error }) => {

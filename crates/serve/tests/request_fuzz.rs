@@ -5,6 +5,8 @@
 //! `WMH_CHECK_CASES` scales the fuzz: `scripts/ci.sh`'s full mode exports
 //! 6, which runs the 10k-case default, and `--quick` exports 2.
 
+mod common;
+
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,12 +15,10 @@ use std::time::Duration;
 
 use wmh_check::chaos::ChaosBuf;
 use wmh_check::{ensure, run_cases, Gen};
-use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
 use wmh_serve::wire::{self, WireError, MAX_FRAME};
 use wmh_serve::{
     Client, MutationKind, MutationRequest, Outcome, QueryRequest, Request, Response, Server,
-    Service, ServiceConfig,
+    Service,
 };
 
 /// Fuzz cases: 10k at the full-CI scale, proportionally fewer below it.
@@ -143,16 +143,8 @@ fn oversized_prefixes_are_refused() {
 }
 
 fn service() -> Arc<Service> {
-    let docs =
-        PAPER_DATASETS[2].scaled_down_preserving_overlap(24, 20_000).generate(7).expect("corpus");
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    let config =
-        ServiceConfig { shards: 2, default_deadline_us: 5_000_000, ..ServiceConfig::default() };
-    Arc::new(Service::from_store(&store, config).expect("service"))
+    let store = common::store_for(&common::corpus(24));
+    Arc::new(Service::from_store(&store, common::config(2)).expect("service"))
 }
 
 /// How a hostile connection's replies went, after it sent its bytes and

@@ -2,42 +2,14 @@
 //! typed outcome, sharding is invisible in results, and the overload hint
 //! follows the supervisor's seeded jitter envelope.
 
+mod common;
+
 use std::sync::Arc;
 
-use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
+use common::{config, corpus, query, store_for};
 use wmh_serve::{
     wire, Client, Outcome, QueryRequest, Response, Server, Service, ServiceConfig, Writes,
 };
-use wmh_sets::WeightedSet;
-
-/// A small Table-4-shaped corpus (`Syn3E0.24S` scaled preserving overlap).
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
-
-/// Generous default deadline so healthy-path tests never flake on a slow
-/// machine; individual tests force misses with explicit zero budgets.
-fn config(shards: usize) -> ServiceConfig {
-    ServiceConfig { shards, default_deadline_us: 5_000_000, ..ServiceConfig::default() }
-}
-
-fn pairs(doc: &WeightedSet) -> Vec<(u64, f64)> {
-    doc.iter().collect()
-}
-
-fn query(doc: &WeightedSet, id: u64) -> QueryRequest {
-    QueryRequest { id, doc: pairs(doc), k: 10, deadline_us: Some(2_000_000) }
-}
 
 #[test]
 fn typed_outcomes_over_tcp() {
@@ -59,9 +31,8 @@ fn typed_outcomes_over_tcp() {
     assert_eq!(ok.shards_answered, ok.shards_total);
     assert!(ok.error.is_none());
 
-    let miss = client
-        .query(&QueryRequest { id: 2, doc: pairs(&docs[1]), k: 10, deadline_us: Some(0) })
-        .expect("query");
+    let miss =
+        client.query(&QueryRequest { deadline_us: Some(0), ..query(&docs[1], 2) }).expect("query");
     assert_eq!(miss.outcome, Outcome::DeadlineExceeded, "{miss:?}");
     assert!(miss.results.is_empty());
 
@@ -82,9 +53,7 @@ fn typed_outcomes_over_tcp() {
 #[test]
 fn wal_backed_service_reports_writes_open() {
     let docs = corpus(24);
-    let dir = std::env::temp_dir().join(format!("wmh-serve-writes-open-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = common::scratch("writes-open");
     let service =
         Arc::new(Service::open(&store_for(&docs), &dir.join("wal"), config(2)).expect("service"));
     let server = Server::spawn(Arc::clone(&service), "127.0.0.1:0").expect("server");
@@ -129,6 +98,7 @@ fn sharding_is_invisible_in_results() {
         let wide = sharded.query(&query(doc, i as u64));
         assert_eq!(lone.outcome, Outcome::Ok, "{lone:?}");
         assert_eq!(wide.outcome, Outcome::Ok, "{wide:?}");
+        assert!(lone.results.len() >= 5, "query {i} ranked too few hits: {lone:?}");
         assert_eq!(lone.results, wide.results, "query {i}: sharding changed results");
     }
 }

@@ -33,108 +33,15 @@
 //! duration, so schedules cannot leak across concurrently scheduled
 //! tests.
 
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+mod common;
 
-use wmh_core::{SketchStore, Sketcher};
-use wmh_data::PAPER_DATASETS;
-use wmh_fault::supervisor::RetryPolicy;
-use wmh_serve::{
-    snapshot, MutationKind, MutationRequest, Outcome, QueryRequest, Service, ServiceConfig,
-    ServiceError, Writes,
-};
-use wmh_sets::WeightedSet;
+use std::path::Path;
 
-fn env_seed() -> Option<u64> {
-    let raw = std::env::var("WMH_FAULT_SEED").ok()?;
-    let raw = raw.trim();
-    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
-    };
-    parsed.ok()
-}
-
-fn seed() -> u64 {
-    env_seed().unwrap_or(0xC1A05)
-}
-
-fn corpus(n: usize) -> Vec<WeightedSet> {
-    PAPER_DATASETS[2].scaled_down_preserving_overlap(n, 20_000).generate(7).expect("corpus").docs
-}
-
-fn store_for(docs: &[WeightedSet]) -> SketchStore {
-    let sketcher = wmh_core::cws::Icws::new(9, 128);
-    let mut store = SketchStore::new();
-    for (id, doc) in docs.iter().enumerate() {
-        store.insert(id as u64, &sketcher.sketch(doc).expect("sketch")).expect("insert");
-    }
-    store
-}
-
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 8,
-        base_backoff: Duration::from_micros(50),
-        max_backoff: Duration::from_millis(2),
-    }
-}
+use common::{corpus, fast_retry, probe, scratch, script, seed, store_for};
+use wmh_serve::{snapshot, MutationRequest, Outcome, Service, ServiceConfig, ServiceError, Writes};
 
 fn config(shards: usize) -> ServiceConfig {
-    ServiceConfig {
-        shards,
-        default_deadline_us: 5_000_000,
-        retry: fast_retry(),
-        probe_every: 4,
-        ..ServiceConfig::default()
-    }
-}
-
-fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wmh-snapshot-soak-{label}-{}-{:x}",
-        std::process::id(),
-        seed()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-fn query(doc: &WeightedSet, id: u64) -> QueryRequest {
-    QueryRequest { id, doc: doc.iter().collect(), k: 10, deadline_us: Some(5_000_000) }
-}
-
-/// Probe responses as rendered wire JSON — the byte-identity currency.
-fn probe(service: &Service, docs: &[WeightedSet]) -> Vec<String> {
-    docs.iter()
-        .enumerate()
-        .map(|(i, doc)| wmh_json::to_string(&service.query(&query(doc, i as u64))))
-        .collect()
-}
-
-/// The soak's mutation mix (same shape as the mutation soak's):
-/// deterministic given `n`, with deletes chasing earlier inserts.
-fn script(docs: &[WeightedSet], n: usize) -> Vec<MutationRequest> {
-    let base = 1_000_000u64;
-    (0..n)
-        .map(|i| {
-            let doc: Vec<(u64, f64)> = docs[i % docs.len()].iter().collect();
-            let (id, kind) = match i % 4 {
-                0 => (base + i as u64, MutationKind::Insert { doc }),
-                1 => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.5, items: doc },
-                ),
-                2 => (base + (i - 2) as u64, MutationKind::Delete),
-                _ => (
-                    base + 500_000 + (i / 8) as u64,
-                    MutationKind::Stream { lambda: 0.9, items: doc },
-                ),
-            };
-            MutationRequest { id, kind, deadline_us: Some(5_000_000) }
-        })
-        .collect()
+    ServiceConfig { retry: fast_retry(), probe_every: 4, ..common::config(shards) }
 }
 
 /// Apply `requests` expecting every one to commit cleanly.
@@ -192,9 +99,11 @@ fn lifecycle_kill_resume(label: &str, schedule: &str, shards: usize) {
     let recovered = Service::open(&store, &wal, snapping).expect("reopen");
     let twin = Service::open(&store, &dir.join("twin.wal"), config(shards)).expect("twin open");
     apply_all(&twin, &requests);
+    let expected = probe(&twin, &docs);
+    common::assert_ranked(&expected);
     assert_eq!(
         probe(&recovered, &docs),
-        probe(&twin, &docs),
+        expected,
         "lifecycle kill-resume not byte-identical ({label}, {shards} shards)"
     );
     let _ = std::fs::remove_dir_all(dir);
@@ -279,7 +188,9 @@ fn recovery_after_compaction_replays_only_live_segments() {
 
     let twin = Service::open(&store, &dir.join("twin.wal"), config(2)).expect("twin");
     apply_all(&twin, &requests);
-    assert_eq!(probe(&recovered, &docs), probe(&twin, &docs));
+    let expected = probe(&twin, &docs);
+    common::assert_ranked(&expected);
+    assert_eq!(probe(&recovered, &docs), expected);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -302,6 +213,7 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
     let gen2 = service.snapshot().expect("second snapshot");
     apply_all(&service, &requests[12..]);
     let reference = probe(&service, &docs);
+    common::assert_ranked(&reference);
     drop(service);
 
     flip_bit(&wal.join(snapshot::snapshot_file_name(gen2)));
@@ -371,6 +283,7 @@ fn failed_snapshot_keeps_the_prior_generation_intact() {
     wmh_fault::configure("soak::baseline=never", seed()).expect("configure");
     apply_all(&service, &requests[12..]);
     let reference = probe(&service, &docs);
+    common::assert_ranked(&reference);
     drop(service);
     let recovered = Service::open(&store, &wal, config(2)).expect("reopen");
     assert_eq!(recovered.recovery().expect("recovery info").snapshot_generation, Some(gen1));
@@ -396,6 +309,7 @@ fn scrub_detects_flipped_bits_and_heals() {
     let gen1 = service.snapshot().expect("snapshot");
     apply_all(&service, &requests[8..]);
     let reference = probe(&service, &docs);
+    common::assert_ranked(&reference);
 
     // Rot both durable artifacts behind the service's back.
     let snap_path = wal.join(snapshot::snapshot_file_name(gen1));
@@ -437,6 +351,7 @@ fn scrub_audit_mismatch_rebuilds_the_shard() {
     let service = Service::open(&store, &dir.join("soak.wal"), config(2)).expect("open");
     apply_all(&service, &script(&docs, 8));
     let reference = probe(&service, &docs);
+    common::assert_ranked(&reference);
 
     let report = service.scrub().expect("scrub pass");
     assert_eq!(report.mismatched_shards, vec![0], "{report:?}");
