@@ -4,6 +4,13 @@ use wmh_rng::dist::pareto_from_unit;
 use wmh_rng::{Prng, Xoshiro256pp};
 use wmh_sets::WeightedSet;
 
+/// Documents per near-duplicate cluster ([`SynConfig::generate_clusters`]).
+const VARIANTS: usize = 8;
+/// A variant scales each weight by `exp(u)`, `u ~ U(−JITTER, JITTER)`.
+const JITTER: f64 = 0.2;
+/// A variant drops this share of its base's elements and adds as many fresh.
+const CHURN: f64 = 0.05;
+
 /// Configuration of one `SynEeSs` dataset.
 ///
 /// ```
@@ -111,30 +118,25 @@ impl SynConfig {
     /// documents of a paper dataset share ~2.5 features and sit at
     /// generalized Jaccard ≈ 0.02).
     ///
-    /// `⌈docs / variants⌉` bases are drawn from this configuration, and
-    /// document `i` is variant `i % variants` of base `i / variants`. A
-    /// variant scales every base weight by `exp(u)`, `u ~ U(−0.2, 0.2)`,
-    /// drops each base element with probability 0.05, and adds
-    /// `round(0.05 · len)` fresh elements with weights from the same power
-    /// law. Variants of one base sit at similarity ≈ 0.65.
+    /// `⌈docs / 8⌉` bases are drawn from this configuration, and document
+    /// `i` is variant `i % 8` of base `i / 8`. A variant scales every base
+    /// weight by `exp(u)`, `u ~ U(−0.2, 0.2)`, drops each base element with
+    /// probability 0.05, and adds `round(0.05 · len)` fresh elements with
+    /// weights from the same power law. Variants of one base sit at
+    /// similarity ≈ 0.65.
     ///
     /// # Errors
-    /// Propagates [`Self::validate`] failures; `variants` must be positive.
-    pub fn generate_clusters(&self, variants: usize, seed: u64) -> Result<Dataset, String> {
-        if variants == 0 {
-            return Err("variants must be positive".into());
-        }
-        let bases = Self { docs: self.docs.div_ceil(variants), ..*self }.generate(seed)?.docs;
+    /// Propagates [`Self::validate`] failures.
+    pub fn generate_clusters(&self, seed: u64) -> Result<Dataset, String> {
+        let bases = Self { docs: self.docs.div_ceil(VARIANTS), ..*self }.generate(seed)?.docs;
         let docs = (0..self.docs)
-            .map(|i| self.variant(&bases[i / variants], seed, i as u64))
+            .map(|i| self.variant(&bases[i / VARIANTS], seed, i as u64))
             .collect::<Result<_, _>>()?;
-        Ok(Dataset { name: format!("{}-clusters{variants}", self.name()), config: *self, docs })
+        Ok(Dataset { name: format!("{}-clusters{VARIANTS}", self.name()), config: *self, docs })
     }
 
     /// Variant number `i` of `base` (see [`Self::generate_clusters`]).
     fn variant(&self, base: &WeightedSet, seed: u64, i: u64) -> Result<WeightedSet, String> {
-        const JITTER: f64 = 0.2;
-        const CHURN: f64 = 0.05;
         let mut rng = Xoshiro256pp::new(seed ^ 0xC1B5_7E25 ^ (i + 1).wrapping_mul(0x9E37_79B9));
         let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(base.len() + base.len() / 16 + 1);
         for (k, w) in base.iter() {
@@ -305,11 +307,11 @@ mod tests {
     #[test]
     fn clusters_have_near_neighbours_and_stay_apart() {
         let cfg = PAPER_DATASETS[2].scaled_down_preserving_overlap(60, 20_000);
-        let ds = cfg.generate_clusters(8, 7).unwrap();
+        let ds = cfg.generate_clusters(7).unwrap();
         assert_eq!(ds.len(), 60, "a partial last cluster still fills the count");
         assert_eq!(ds.name, "Syn3E0.24S-clusters8");
-        assert_eq!(ds.docs, cfg.generate_clusters(8, 7).unwrap().docs);
-        assert_ne!(ds.docs, cfg.generate_clusters(8, 8).unwrap().docs);
+        assert_eq!(ds.docs, cfg.generate_clusters(7).unwrap().docs);
+        assert_ne!(ds.docs, cfg.generate_clusters(8).unwrap().docs);
         for (i, doc) in ds.docs.iter().enumerate() {
             for (j, other) in ds.docs.iter().enumerate().filter(|&(j, _)| j != i) {
                 let sim = wmh_sets::generalized_jaccard(doc, other);
@@ -320,7 +322,6 @@ mod tests {
                 }
             }
         }
-        assert!(cfg.generate_clusters(0, 7).is_err());
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn run() -> Result<ExitCode, String> {
 /// overlap: every query has neighbours to rank, not only itself.
 fn corpus(docs: usize, seed: u64) -> Result<(String, Vec<WeightedSet>), String> {
     let config = PAPER_DATASETS[2].scaled_down_preserving_overlap(docs, 20_000);
-    let dataset = config.generate_clusters(8, seed)?;
+    let dataset = config.generate_clusters(seed)?;
     Ok((dataset.name, dataset.docs))
 }
 

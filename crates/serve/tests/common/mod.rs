@@ -26,7 +26,7 @@ pub fn seed() -> u64 {
 pub fn corpus(n: usize) -> Vec<WeightedSet> {
     PAPER_DATASETS[2]
         .scaled_down_preserving_overlap(n, 20_000)
-        .generate_clusters(8, 7)
+        .generate_clusters(7)
         .expect("corpus")
         .docs
 }
